@@ -3,8 +3,10 @@ package cxlpool
 import (
 	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cxlpool/internal/experiments"
@@ -31,17 +33,78 @@ func TestRunAllMatchesGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got.Bytes(), want) {
-		a, b := want, got.Bytes()
-		i := 0
-		for i < len(a) && i < len(b) && a[i] == b[i] {
-			i++
-		}
-		lo := i - 120
-		if lo < 0 {
-			lo = 0
-		}
-		t.Fatalf("output diverges from golden at byte %d:\ngolden: %q\ngot:    %q",
-			i, a[lo:min(i+120, len(a))], b[lo:min(i+120, len(b))])
+		t.Fatal(goldenDiff(want, got.Bytes()))
+	}
+}
+
+// goldenDiff locates the first differing byte and quotes the bytes
+// around it from both sides.
+func goldenDiff(want, got []byte) string {
+	i := 0
+	for i < len(want) && i < len(got) && want[i] == got[i] {
+		i++
+	}
+	lo := max(i-120, 0)
+	return fmt.Sprintf("output diverges from golden at byte %d:\ngolden: %q\ngot:    %q",
+		i, want[lo:min(i+120, len(want))], got[lo:min(i+120, len(got))])
+}
+
+// TestStandaloneScenariosMatchGolden pins the exact text of the fleet
+// scenarios `all` does not run, so refactors of the cluster control
+// plane and the spine are checked byte for byte. Each golden is the
+// stdout of the command line in its row; regenerate one with
+//
+//	go run ./cmd/cxlpool <args> > testdata/<file>
+//
+// for example
+//
+//	go run ./cmd/cxlpool failures > testdata/failures.golden
+//	go run ./cmd/cxlpool failures -class mix -crews 1 -domains 3 > testdata/failures_mix_crews1.golden
+//	go run ./cmd/cxlpool failures -class brownout -sched random -rate 2 -duration 8 -epochs 24 -racks 8 -seed 2 -workers 1 > testdata/failures_brownout_storm.golden
+//	go run ./cmd/cxlpool oversub > testdata/oversub.golden
+//	go run ./cmd/cxlpool oversub -ratio 0 > testdata/oversub_ratio0.golden
+//	go run ./cmd/cxlpool multirow > testdata/multirow.golden
+//
+// The brownout storm is the one input here on which spilled tenants
+// cross a path browned below their demand on the non-blocking spine;
+// the default scenarios never reach that case.
+func TestStandaloneScenariosMatchGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("fleet scenarios in -short mode")
+	}
+	for _, tc := range []struct{ args, file string }{
+		{"failures", "failures.golden"},
+		{"failures -class mix -crews 1 -domains 3", "failures_mix_crews1.golden"},
+		{"failures -class brownout -sched random -rate 2 -duration 8 -epochs 24 -racks 8 -seed 2 -workers 1", "failures_brownout_storm.golden"},
+		{"oversub", "oversub.golden"},
+		{"oversub -ratio 0", "oversub_ratio0.golden"},
+		{"multirow", "multirow.golden"},
+	} {
+		t.Run(strings.TrimSuffix(tc.file, ".golden"), func(t *testing.T) {
+			want, err := os.ReadFile(filepath.Join("testdata", tc.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			args := strings.Fields(tc.args)
+			s, ok := experiments.Lookup(args[0])
+			if !ok {
+				t.Fatalf("%s not registered", args[0])
+			}
+			p := s.NewParams()
+			for i := 1; i+1 < len(args); i += 2 {
+				if err := p.Set(strings.TrimPrefix(args[i], "-"), args[i+1]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			rep, err := s.Run(context.Background(), p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := []byte(rep.Text()); !bytes.Equal(got, want) {
+				t.Fatalf("%s\nregenerate on purpose with: go run ./cmd/cxlpool %s > testdata/%s",
+					goldenDiff(want, got), tc.args, tc.file)
+			}
+		})
 	}
 }
 
