@@ -135,8 +135,9 @@ func (h headroom) fits(g, threshold float64) bool {
 
 // Admit is the fast-path admission decision for one tenant: consult
 // the home rack's cached summary, bind there if it fits, otherwise
-// probe exactly one spill candidate (fewest hops from home, then
-// least pressure — the cached mirror of coldestRackFor's ranking).
+// probe exactly one spill candidate: rankSpill's pick among the racks
+// whose summary fits the tenant, by summary pressure (the reconciler
+// ranks the same way over live state).
 // On any failure the reservation charged against a summary is rolled
 // back before returning, so a rejected Admit leaves every summary
 // byte-identical to its pre-call state (the Bind/Harvest rollback
@@ -162,8 +163,10 @@ func (c *Cluster) Admit(t *Tenant) (AdmitResult, error) {
 	if !c.cfg.Federate {
 		return c.rejectAdmit(t, service, RejectNoCapacity)
 	}
-	// One spill probe: best candidate by cached summaries alone.
-	cand := c.spillCandidate(t, thr)
+	// One spill probe: the shared ranker over the cached summaries alone.
+	cand := c.rankSpill(t, t.Home,
+		func(i int) bool { return c.summaries[i].fits(t.gbps, thr) },
+		func(i int) float64 { return c.summaries[i].usedGbps / c.summaries[i].capGbps })
 	if cand < 0 {
 		reason := RejectNoCapacity
 		if !c.anyServable() {
@@ -200,38 +203,6 @@ func (c *Cluster) rejectAdmit(t *Tenant, service sim.Duration, reason RejectReas
 	c.routerClock += service
 	c.rejects[reason]++
 	return AdmitResult{Rack: -1, Latency: c.routerClock}, &AdmitError{Tenant: t.Name, Reason: reason}
-}
-
-// spillCandidate ranks non-home racks by the cached summaries:
-// candidates whose home->candidate path has residual uplink capacity
-// rank strictly ahead of ones that would oversubscribe a spine link,
-// then fewest hops from home (same-row before cross-row), then lowest
-// pressure, ties to the lowest index — deterministic, and consistent
-// with the reconciler's coldestRackFor so the two layers never fight.
-// On a non-blocking spine every candidate fits and the ranking is
-// unchanged from the pure hops-then-pressure probe.
-func (c *Cluster) spillCandidate(t *Tenant, thr float64) int {
-	finite := !c.spine.Unlimited()
-	if finite {
-		c.loadSpineDemand(t)
-	}
-	best, bestFits, bestHops, bestP := -1, false, 0, 0.0
-	for i := range c.racks {
-		if i == t.Home || !c.summaries[i].fits(t.gbps, thr) {
-			continue
-		}
-		fits := true
-		if finite {
-			fits = c.spine.FlowFits(t.Home, i, t.gbps)
-		}
-		hops := c.cfg.Topo.RackPath(t.Home, i).Hops
-		p := c.summaries[i].usedGbps / c.summaries[i].capGbps
-		if best == -1 || (fits && !bestFits) ||
-			(fits == bestFits && (hops < bestHops || (hops == bestHops && p < bestP))) {
-			best, bestFits, bestHops, bestP = i, fits, hops, p
-		}
-	}
-	return best
 }
 
 // anyServable reports whether any cached summary takes placements.

@@ -728,38 +728,40 @@ func (c *Cluster) canServe(t *Tenant, rackIdx int) bool {
 	return err == nil
 }
 
-// coldestRackFor returns the best spill/relocation target for the
-// tenant (excluding `exclude`; pass -1 to consider all), or -1 if none
-// can serve it. Candidates whose home<->candidate path still has
-// residual uplink capacity for the tenant's demand rank strictly ahead
-// of ones that would oversubscribe a link (so a 40G heterogeneous
+// coldestRackFor returns the reconciler's spill/relocation target for
+// the tenant (excluding `exclude`; pass -1 to consider all), or -1 if
+// none can serve it: rankSpill over live state.
+func (c *Cluster) coldestRackFor(t *Tenant, exclude int) int {
+	return c.rankSpill(t, exclude, func(i int) bool { return c.canServe(t, i) }, c.pressure)
+}
+
+// rankSpill is the one spill ranker. The reconciler (coldestRackFor)
+// and the router (Admit's spill probe) both place through it, so the
+// two layers never fight; they pass only what differs between them:
+// which racks are eligible, and where a rack's pressure is read.
+// Eligible racks other than `exclude` whose home<->candidate path still
+// has residual uplink capacity for the tenant's demand rank strictly
+// ahead of ones that would oversubscribe a link (so a 40G heterogeneous
 // rack's bundle is never silently oversubscribed while an alternative
 // exists); within each class they are ranked by path hops from the
 // tenant's current location (its home when unplaced) — same-row racks
 // before cross-row ones — then by pressure; remaining ties break
-// toward the lowest index, keeping placement deterministic. On a
-// non-blocking spine every candidate fits, so the ranking degenerates
-// to the original hops-then-pressure choice.
-func (c *Cluster) coldestRackFor(t *Tenant, exclude int) int {
+// toward the lowest index, keeping placement deterministic. Returns -1
+// when no rack is eligible.
+func (c *Cluster) rankSpill(t *Tenant, exclude int, eligible func(int) bool, pressure func(int) float64) int {
 	ref := t.rack
 	if ref < 0 {
 		ref = t.Home
 	}
-	finite := !c.spine.Unlimited()
-	if finite {
-		c.loadSpineDemand(t)
-	}
+	c.loadSpineDemand(t)
 	best, bestFits, bestHops, bestP := -1, false, 0, 0.0
 	for i := range c.racks {
-		if i == exclude || !c.canServe(t, i) {
+		if i == exclude || !eligible(i) {
 			continue
 		}
-		fits := true
-		if finite && i != t.Home {
-			fits = c.spine.FlowFits(t.Home, i, t.gbps)
-		}
+		fits := c.spine.FlowFits(t.Home, i, t.gbps)
 		hops := c.cfg.Topo.RackPath(ref, i).Hops
-		p := c.pressure(i)
+		p := pressure(i)
 		if best == -1 || (fits && !bestFits) ||
 			(fits == bestFits && (hops < bestHops || (hops == bestHops && p < bestP))) {
 			best, bestFits, bestHops, bestP = i, fits, hops, p
@@ -1195,28 +1197,24 @@ func (c *Cluster) RunEpoch() (EpochStats, error) {
 		c.dispatchCrews(e)
 		st.RepairQueue, st.CrewsBusy = c.repairQueue()
 	}
-	// Spine grant pass: with finite uplinks, every spilled tenant's
-	// steady demand is laid on the links of its home<->placement path
-	// and granted a proportional fair share — concurrent spills into
-	// one uplink contend, throttling each other's pumps below demand.
-	// Runs after the strike pass so freshly browned paths bind this
-	// epoch. A non-blocking spine skips the whole pass (grants already
-	// equal demand).
-	if !c.spine.Unlimited() {
-		c.loadSpineDemand(nil)
-		for _, t := range c.tenants {
-			if t.gone || t.rack < 0 || t.rack == t.Home || t.gbps <= 0 {
-				continue
-			}
-			g := c.spine.GrantRate(t.Home, t.rack, t.gbps)
-			if g < t.gbps {
-				st.SpineThrottled++
-			}
-			t.grantGbps = g
+	// Spine grant pass: every spilled tenant's steady demand is laid on
+	// the links of its home<->placement path and granted a proportional
+	// fair share — concurrent spills into one finite uplink contend,
+	// throttling each other's pumps below demand. Runs after the strike
+	// pass so freshly browned paths bind this epoch.
+	c.loadSpineDemand(nil)
+	for _, t := range c.tenants {
+		if t.gone || t.rack < 0 || t.rack == t.Home || t.gbps <= 0 {
+			continue
 		}
-		sum := c.spine.CloseFlows()
-		st.SpineMaxUtil, st.SpineQueuedGbps = sum.MaxUtil, sum.QueuedGbps
+		g := c.spine.GrantRate(t.Home, t.rack, t.gbps)
+		if g < t.gbps {
+			st.SpineThrottled++
+		}
+		t.grantGbps = g
 	}
+	sum := c.spine.CloseFlows()
+	st.SpineMaxUtil, st.SpineQueuedGbps = sum.MaxUtil, sum.QueuedGbps
 	for _, r := range c.racks {
 		if r.dead {
 			st.DeadRacks++

@@ -5,7 +5,6 @@ import (
 
 	"cxlpool/internal/mem"
 	"cxlpool/internal/sim"
-	"cxlpool/internal/topo"
 )
 
 // Tier is one rung of the cluster interconnect hierarchy: a one-way
@@ -17,16 +16,6 @@ type Tier struct {
 	Name      string
 	Latency   sim.Duration
 	Bandwidth mem.GBps
-}
-
-// TierFromPath renders an aggregated path as a named tier.
-func TierFromPath(name string, p topo.Path) Tier {
-	return Tier{Name: name, Latency: p.Latency, Bandwidth: p.Bandwidth}
-}
-
-// TierFromLink renders a single topology edge as a named tier.
-func TierFromLink(name string, l topo.Link) Tier {
-	return Tier{Name: name, Latency: l.Latency, Bandwidth: l.Bandwidth}
 }
 
 // RTT is the round-trip latency of the tier.
@@ -48,27 +37,20 @@ func (t Tier) String() string {
 // 0's view; inside a rack the pod's event simulation is the source of
 // truth).
 func (c *Cluster) IntraRackTier() Tier {
-	return TierFromLink("intra-rack (ToR)", c.cfg.Topo.IntraRack(0))
-}
-
-// rackPath is the topology path with active brownouts applied: the
-// composed covering brownouts scale the path's bottleneck bandwidth,
-// floored at spine.MinPathScale so stacked faults cannot zero it. The
-// spine owns both the brownout overlays and the queued links, so all
-// fabric cost models route through it and a brownout is felt by
-// migrations, drains, and spill penalties alike.
-func (c *Cluster) rackPath(src, dst int) topo.Path {
-	return c.spine.Path(src, dst)
+	l := c.cfg.Topo.IntraRack(0)
+	return Tier{Name: "intra-rack (ToR)", Latency: l.Latency, Bandwidth: l.Bandwidth}
 }
 
 // InterRackTier is the aggregated rack-to-rack tier between racks a
-// and b, named by whether the path stays inside one row.
+// and b (brownouts applied), named by whether the path stays inside
+// one row.
 func (c *Cluster) InterRackTier(a, b int) Tier {
 	name := "inter-rack (spine)"
 	if !c.cfg.Topo.SameRow(a, b) {
 		name = "cross-row (core)"
 	}
-	return TierFromPath(name, c.rackPath(a, b))
+	p := c.spine.Path(a, b)
+	return Tier{Name: name, Latency: p.Latency, Bandwidth: p.Bandwidth}
 }
 
 // MigrationCost models one cross-rack tenant move from rack src to
@@ -77,7 +59,7 @@ func (c *Cluster) InterRackTier(a, b int) Tier {
 // bottleneck bandwidth. Costs are charged per path, so a cross-row
 // move is dearer than a same-row one.
 func (c *Cluster) MigrationCost(src, dst int) sim.Duration {
-	p := c.rackPath(src, dst)
+	p := c.spine.Path(src, dst)
 	return p.RTT() + p.Bandwidth.TransferTime(c.cfg.TenantState)
 }
 
@@ -85,5 +67,5 @@ func (c *Cluster) MigrationCost(src, dst int) sim.Duration {
 // pays while its device lives in rack dst and its compute in rack src:
 // doorbell out and completion back, both across the path.
 func (c *Cluster) RemotePenalty(src, dst int) sim.Duration {
-	return c.rackPath(src, dst).RTT()
+	return c.spine.Path(src, dst).RTT()
 }

@@ -68,6 +68,6 @@ func TestInterRackTierNamesCrossRow(t *testing.T) {
 	}
 	p := tp.RackPath(0, 2)
 	if cross.Latency != p.Latency || cross.Bandwidth != p.Bandwidth {
-		t.Fatal("TierFromPath dropped path aggregates")
+		t.Fatal("InterRackTier dropped path aggregates")
 	}
 }

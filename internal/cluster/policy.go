@@ -400,17 +400,7 @@ func (c *Cluster) rowSignal(sig Signal, row, epoch int) float64 {
 		}
 		return sum
 	case SigPressure:
-		var offered, capacity float64
-		for _, i := range racks {
-			offered += c.offeredGbps(i)
-			if r := c.racks[i]; !r.dead {
-				capacity += r.effCapacityGbps() * r.capScale
-			}
-		}
-		if capacity == 0 {
-			return 1
-		}
-		return offered / capacity
+		return c.pressureOver(racks)
 	case SigDegraded:
 		worst := 0.0
 		for _, i := range racks {
@@ -448,9 +438,9 @@ func (c *Cluster) fleetSignal(sig Signal, epoch int) float64 {
 		}
 		return sum
 	case SigPressure:
-		return c.fleetPressure()
+		return c.pressureOver(c.allRacks())
 	case SigHeadroom:
-		return 1 - c.fleetPressure()
+		return 1 - c.pressureOver(c.allRacks())
 	case SigDegraded:
 		worst := 0.0
 		for i := range c.racks {
@@ -481,13 +471,14 @@ func (c *Cluster) fleetSignal(sig Signal, epoch int) float64 {
 	return 0
 }
 
-// fleetPressure is total offered demand over the live fleet's effective
-// capacity (1 when nothing survives).
-func (c *Cluster) fleetPressure() float64 {
+// pressureOver is the row and fleet pressure signal: total offered
+// demand on the listed racks over the effective capacity of the live
+// ones among them (1 when none survives), summed in list order.
+func (c *Cluster) pressureOver(racks []int) float64 {
 	var offered, capacity float64
-	for i, r := range c.racks {
+	for _, i := range racks {
 		offered += c.offeredGbps(i)
-		if !r.dead {
+		if r := c.racks[i]; !r.dead {
 			capacity += r.effCapacityGbps() * r.capScale
 		}
 	}
@@ -495,6 +486,15 @@ func (c *Cluster) fleetPressure() float64 {
 		return 1
 	}
 	return offered / capacity
+}
+
+// allRacks returns every rack index, index order.
+func (c *Cluster) allRacks() []int {
+	all := make([]int, len(c.racks))
+	for i := range all {
+		all[i] = i
+	}
+	return all
 }
 
 // rowRacks returns the rack indexes of a row, index order.
@@ -539,11 +539,7 @@ func (c *Cluster) runPolicy(epoch int) int {
 		case ScopeFleet:
 			// Pure fleet rules act on every rack in index order.
 			if c.ruleMatches(rule, 0, epoch) {
-				all := make([]int, len(c.racks))
-				for i := range all {
-					all[i] = i
-				}
-				acted += c.applyAction(rule.Action, all, &budget)
+				acted += c.applyAction(rule.Action, c.allRacks(), &budget)
 			}
 		}
 	}

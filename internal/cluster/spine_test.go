@@ -90,12 +90,14 @@ func TestThrottledSpillStillOffersFullDemand(t *testing.T) {
 }
 
 // Placement never oversubscribes an uplink while a residual-capacity
-// alternative exists: a heterogeneous 40G rack whose bundle is already
-// committed loses to a colder-linked (though more pressured) sibling.
-// On a non-blocking spine the same fleet picks the pressure winner —
-// the differential pins that the ranking is link-capacity-aware.
+// alternative exists, and the reconciler (place, live state) and the
+// router (Admit, cached summaries) agree on the spill target because
+// they share one ranker. On a non-blocking spine both pick the
+// pressure winner rack1; on a finite one rack1's committed 40G bundle
+// loses to the more pressured rack2 — the differential pins that the
+// ranking is link-capacity-aware for both callers.
 func TestPlacementAvoidsOversubscribedUplink(t *testing.T) {
-	build := func(oversub float64) *Cluster {
+	build := func(t *testing.T, oversub float64) (*Cluster, *Tenant) {
 		tp, err := topo.Preset(4, 1, "nic") // odd racks pool 80 Gbps
 		if err != nil {
 			t.Fatal(err)
@@ -105,57 +107,54 @@ func TestPlacementAvoidsOversubscribedUplink(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Hand-laid placement state (no epochs run): one tenant already
-		// spilled 0->1 commits most of rack1's 80 Gbps bundle; racks 2
-		// and 3 carry home-resident load so rack1 stays the pressure
-		// winner (10/80 < 30/200 < 35/80).
+		// Hand-laid placement state (no epochs run): home rack0 is past
+		// the threshold, so the 30 Gbps probe r0t1 must spill. r1t0 has
+		// spilled 1->2 and commits 60 of rack1's 80 Gbps bundle, leaving
+		// rack1 itself idle: the pressure winner (0/80 < 60/200 <
+		// 35/80), but its uplink cannot carry another 30 Gbps.
 		ts := c.Tenants()
-		ts[0].rack, ts[0].gbps = 1, 10 // r0t0 spilled into rack1
-		ts[4].rack, ts[4].gbps = 2, 30 // r2t0 at home
-		ts[6].rack, ts[6].gbps = 3, 35 // r3t0 at home
-		ts[1].gbps = 80                // r0t1: the probe, unplaced
-		return c
+		ts[0].rack, ts[0].gbps = 0, 150 // r0t0 at home
+		ts[2].rack, ts[2].gbps = 2, 60  // r1t0 spilled into rack2
+		ts[6].rack, ts[6].gbps = 3, 35  // r3t0 at home
+		ts[1].gbps = 30                 // r0t1: the probe, unplaced
+		return c, ts[1]
 	}
-
-	legacy := build(0)
-	if got := legacy.coldestRackFor(legacy.Tenants()[1], 0); got != 1 {
-		t.Fatalf("non-blocking ranking picked rack%d, want pressure winner rack1", got)
+	place := func(t *testing.T, c *Cluster, tn *Tenant) int {
+		if err := c.place(tn); err != nil {
+			t.Fatal(err)
+		}
+		return tn.Rack()
 	}
-	aware := build(1)
-	// rack1's bundle: 10 committed + 80 probe > 80 Gbps capacity.
-	if got := aware.coldestRackFor(aware.Tenants()[1], 0); got != 2 {
-		t.Fatalf("congestion-aware ranking picked rack%d, want residual-capacity rack2", got)
+	admit := func(t *testing.T, c *Cluster, tn *Tenant) int {
+		c.refreshSummaries()
+		res, err := c.Admit(tn)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Rack
 	}
-}
-
-// The admission fast path's spill probe applies the same residual-
-// capacity class, so the router and the reconciler never fight.
-func TestAdmitProbeAvoidsOversubscribedUplink(t *testing.T) {
-	tp, err := topo.Preset(4, 1, "nic")
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, err := New(Config{Topo: tp, TenantsPerRack: 2, Seed: 3,
-		Federate: true, Oversub: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := c.Tenants()
-	ts[0].rack, ts[0].gbps = 1, 10
-	ts[4].rack, ts[4].gbps = 2, 30
-	ts[6].rack, ts[6].gbps = 3, 35
-	ts[1].gbps = 80
-	c.refreshSummaries()
-	// Summaries see the hand-laid demand; rack1 is the pressure winner
-	// but its uplink cannot carry another 80 Gbps.
-	if got := c.spillCandidate(ts[1], 1.0); got != 2 {
-		t.Fatalf("spill probe picked rack%d, want residual-capacity rack2", got)
+	for _, tc := range []struct {
+		name    string
+		oversub float64
+		pick    func(*testing.T, *Cluster, *Tenant) int
+		want    int
+	}{
+		{"reconciler/non-blocking", 0, place, 1},
+		{"router/non-blocking", 0, admit, 1},
+		{"reconciler/finite", 1, place, 2},
+		{"router/finite", 1, admit, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, probe := build(t, tc.oversub)
+			if got := tc.pick(t, c, probe); got != tc.want {
+				t.Fatalf("spilled to rack%d, want rack%d", got, tc.want)
+			}
+		})
 	}
 }
 
 // Stacked brownouts covering one path compose multiplicatively but are
-// floored: migration stays expensive, never absurd (the pre-spine
-// rackPath could be driven toward zero bandwidth).
+// floored: migration stays expensive, never absurd.
 func TestStackedBrownoutsFloorMigrationCost(t *testing.T) {
 	c, err := New(Config{Topo: uniformTopo(t, 3), TenantsPerRack: 2,
 		Seed: 1, Federate: true})

@@ -26,9 +26,13 @@
 // aggregate pooled line rate beneath it divided by Config.Oversub,
 // capped by the topology link's own bandwidth — so a heterogeneous 40G
 // rack's bundle really is smaller than its 100G siblings'. Oversub 0
-// keeps every link non-blocking: no queueing, no throttling, and every
-// figure reduces exactly to the analytic path costs (the legacy
-// behavior, pinned by the all_seed42 golden).
+// keeps every link non-blocking (capacity 0 = unconstrained): no
+// queueing, no throttling, and every figure reduces exactly to the
+// analytic path costs (the legacy behavior, pinned by the all_seed42
+// golden). This package alone knows what non-blocking means: callers
+// run the same ledger passes on every spine, and on unconstrained links
+// FlowFits always holds, GrantRate grants full demand, and Transfer
+// never waits.
 //
 // Brownouts live here too: each one scales the bandwidth of the paths
 // it covers. Overlapping brownouts compose multiplicatively and are
@@ -152,7 +156,6 @@ type EpochSummary struct {
 // contract.
 type Network struct {
 	topo *topo.Topology
-	cfg  Config
 	eng  *sim.Engine
 
 	links    []link
@@ -174,7 +177,7 @@ type Network struct {
 // edge's capacity is the pooled aggregate beneath it over the ratio,
 // capped by the topology link's own bandwidth.
 func New(t *topo.Topology, cfg Config) *Network {
-	n := &Network{topo: t, cfg: cfg, eng: sim.NewEngine(0)}
+	n := &Network{topo: t, eng: sim.NewEngine(0)}
 	racks := t.RackCount()
 	n.rackLink = make([]int, racks)
 	rowAgg := make([]float64, t.RowCount())
@@ -225,14 +228,6 @@ func edgeCapacity(oversub, aggGbps float64, l topo.Link) float64 {
 	}
 	return cap
 }
-
-// Unlimited reports whether the spine is non-blocking (Oversub <= 0):
-// the cluster's fast paths skip every ledger scan in that mode, which
-// is also what keeps the legacy scenarios byte-identical.
-func (n *Network) Unlimited() bool { return n.cfg.Oversub <= 0 }
-
-// Oversub returns the configured oversubscription ratio.
-func (n *Network) Oversub() float64 { return n.cfg.Oversub }
 
 // LinkCount returns how many inter-rack edges the spine instantiates
 // (one per rack plus one per row).
@@ -416,19 +411,28 @@ func (n *Network) FlowFits(src, dst int, gbps float64) bool {
 // demand D > capacity C is scaled by C/D, so grants conserve link
 // capacity and are independent of evaluation order), additionally
 // capped at the brownout-scaled path bottleneck. Demand at or under
-// capacity is granted in full.
+// capacity is granted in full, and so is any flow whose path crosses no
+// finite link: a non-blocking spine never throttles steady demand, not
+// even on a browned path (brownouts still slow its transfers).
 func (n *Network) GrantRate(src, dst int, gbps float64) float64 {
 	if src < 0 || dst < 0 || src == dst || gbps <= 0 {
 		return gbps
 	}
-	share := 1.0
+	share, finite := 1.0, false
 	for _, id := range n.pathLinks[src*len(n.rackLink)+dst] {
 		l := &n.links[id]
-		if l.capGbps > 0 && l.demandGbps > l.capGbps {
+		if l.capGbps <= 0 {
+			continue
+		}
+		finite = true
+		if l.demandGbps > l.capGbps {
 			if s := l.capGbps / l.demandGbps; s < share {
 				share = s
 			}
 		}
+	}
+	if !finite {
+		return gbps
 	}
 	g := gbps * share
 	if bw := float64(n.Path(src, dst).Bandwidth) * 8; bw > 0 && g > bw {

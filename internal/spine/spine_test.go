@@ -90,9 +90,6 @@ func TestPathLinkIDs(t *testing.T) {
 func TestUnlimitedTransferMatchesAnalytic(t *testing.T) {
 	tp := mustUniform(t, 2)
 	n := New(tp, Config{})
-	if !n.Unlimited() {
-		t.Fatal("Oversub 0 should be unlimited")
-	}
 	p := tp.RackPath(0, 1)
 	bytes := 2 << 20
 	want := p.RTT() + p.Bandwidth.TransferTime(bytes)
@@ -200,6 +197,34 @@ func TestUnlimitedFlowsNeverThrottle(t *testing.T) {
 	}
 	if sum := n.CloseFlows(); sum.MaxUtil != 0 || sum.QueuedGbps != 0 {
 		t.Errorf("unlimited epoch summary: %+v", sum)
+	}
+}
+
+// A non-blocking spine grants full demand even across a browned path:
+// two stacked 0.3 brownouts leave the 400 Gbps path at 36 Gbps, yet an
+// 80 Gbps flow keeps its 80. The same flow on a finite spine is capped
+// at the browned bandwidth.
+func TestUnlimitedGrantIgnoresBrownouts(t *testing.T) {
+	tp := mustUniform(t, 2)
+	browned := []Brownout{{Src: 0, Dst: 1, Scale: 0.3}, {Src: 0, Dst: 1, Scale: 0.3}}
+	grant := func(cfg Config) (got, pathGbps float64) {
+		n := New(tp, cfg)
+		n.SetBrownouts(browned)
+		n.BeginFlows()
+		n.AddFlow(0, 1, 80)
+		return n.GrantRate(0, 1, 80), float64(n.Path(0, 1).Bandwidth) * 8
+	}
+	got, pathGbps := grant(Config{})
+	if pathGbps >= 80 {
+		t.Fatalf("browned path carries %g Gbps, want below the 80 Gbps flow", pathGbps)
+	}
+	if got != 80 {
+		t.Errorf("non-blocking grant = %g Gbps on a %g Gbps browned path, want full demand 80", got, pathGbps)
+	}
+	// Ratio 1 leaves the 200 Gbps rack uplinks uncongested, so only the
+	// brownout binds.
+	if got, pathGbps := grant(Config{Oversub: 1}); got != pathGbps {
+		t.Errorf("finite grant = %g Gbps, want the browned path bandwidth %g", got, pathGbps)
 	}
 }
 
