@@ -89,68 +89,77 @@ func TestThrottledSpillStillOffersFullDemand(t *testing.T) {
 	}
 }
 
-// Placement never oversubscribes an uplink while a residual-capacity
-// alternative exists, and the reconciler (place, live state) and the
-// router (Admit, cached summaries) agree on the spill target because
-// they share one ranker. On a non-blocking spine both pick the
-// pressure winner rack1; on a finite one rack1's committed 40G bundle
-// loses to the more pressured rack2 — the differential pins that the
-// ranking is link-capacity-aware for both callers.
-func TestPlacementAvoidsOversubscribedUplink(t *testing.T) {
-	build := func(t *testing.T, oversub float64) (*Cluster, *Tenant) {
-		tp, err := topo.Preset(4, 1, "nic") // odd racks pool 80 Gbps
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := New(Config{Topo: tp, TenantsPerRack: 2, Seed: 3,
-			Federate: true, Oversub: oversub})
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Hand-laid placement state (no epochs run): home rack0 is past
-		// the threshold, so the 30 Gbps probe r0t1 must spill. r1t0 has
-		// spilled 1->2 and commits 60 of rack1's 80 Gbps bundle, leaving
-		// rack1 itself idle: the pressure winner (0/80 < 60/200 <
-		// 35/80), but its uplink cannot carry another 30 Gbps.
-		ts := c.Tenants()
-		ts[0].rack, ts[0].gbps = 0, 150 // r0t0 at home
-		ts[2].rack, ts[2].gbps = 2, 60  // r1t0 spilled into rack2
-		ts[6].rack, ts[6].gbps = 3, 35  // r3t0 at home
-		ts[1].gbps = 30                 // r0t1: the probe, unplaced
-		return c, ts[1]
+// oversubscribedUplinkFleet hand-lays placement state (no epochs run)
+// on a 4-rack fleet whose odd racks pool 80 Gbps: home rack0 is past
+// the threshold, so the 30 Gbps probe r0t1 must spill. r1t0 has
+// spilled 1->2 and commits 60 of rack1's 80 Gbps bundle, leaving
+// rack1 itself idle: the pressure winner (0/80 < 60/200 < 35/80), but
+// on a finite spine its uplink cannot carry another 30 Gbps.
+func oversubscribedUplinkFleet(t *testing.T, oversub float64) (*Cluster, *Tenant) {
+	tp, err := topo.Preset(4, 1, "nic")
+	if err != nil {
+		t.Fatal(err)
 	}
-	place := func(t *testing.T, c *Cluster, tn *Tenant) int {
+	c, err := New(Config{Topo: tp, TenantsPerRack: 2, Seed: 3,
+		Federate: true, Oversub: oversub})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := c.Tenants()
+	ts[0].rack, ts[0].gbps = 0, 150 // r0t0 at home
+	ts[2].rack, ts[2].gbps = 2, 60  // r1t0 spilled into rack2
+	ts[6].rack, ts[6].gbps = 3, 35  // r3t0 at home
+	ts[1].gbps = 30                 // r0t1: the probe, unplaced
+	return c, ts[1]
+}
+
+// checkSpillTarget runs pick on the oversubscribed-uplink fleet: on a
+// non-blocking spine it must choose the pressure winner rack1, on a
+// finite one the residual-capacity rack2. The differential pins that
+// the ranking is link-capacity-aware.
+func checkSpillTarget(t *testing.T, pick func(*testing.T, *Cluster, *Tenant) int) {
+	for _, tc := range []struct {
+		name    string
+		oversub float64
+		want    int
+	}{
+		{"non-blocking", 0, 1},
+		{"finite", 1, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, probe := oversubscribedUplinkFleet(t, tc.oversub)
+			if got := pick(t, c, probe); got != tc.want {
+				t.Fatalf("spilled to rack%d, want rack%d", got, tc.want)
+			}
+		})
+	}
+}
+
+// Placement never oversubscribes an uplink while a residual-capacity
+// alternative exists: the reconciler, ranking over live state, lets
+// rack1's mostly committed 80 Gbps bundle lose to the more pressured
+// rack2.
+func TestPlacementAvoidsOversubscribedUplink(t *testing.T) {
+	checkSpillTarget(t, func(t *testing.T, c *Cluster, tn *Tenant) int {
 		if err := c.place(tn); err != nil {
 			t.Fatal(err)
 		}
 		return tn.Rack()
-	}
-	admit := func(t *testing.T, c *Cluster, tn *Tenant) int {
+	})
+}
+
+// The admission fast path's spill probe, ranking over cached
+// summaries, shares the reconciler's ranker, so the router and the
+// reconciler never fight over the spill target.
+func TestAdmitProbeAvoidsOversubscribedUplink(t *testing.T) {
+	checkSpillTarget(t, func(t *testing.T, c *Cluster, tn *Tenant) int {
 		c.refreshSummaries()
 		res, err := c.Admit(tn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res.Rack
-	}
-	for _, tc := range []struct {
-		name    string
-		oversub float64
-		pick    func(*testing.T, *Cluster, *Tenant) int
-		want    int
-	}{
-		{"reconciler/non-blocking", 0, place, 1},
-		{"router/non-blocking", 0, admit, 1},
-		{"reconciler/finite", 1, place, 2},
-		{"router/finite", 1, admit, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			c, probe := build(t, tc.oversub)
-			if got := tc.pick(t, c, probe); got != tc.want {
-				t.Fatalf("spilled to rack%d, want rack%d", got, tc.want)
-			}
-		})
-	}
+	})
 }
 
 // Stacked brownouts covering one path compose multiplicatively but are
