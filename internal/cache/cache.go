@@ -20,10 +20,21 @@
 // exactly as non-coherent hardware does. Tests assert both directions —
 // that stale reads happen without coherence ops, and never happen with
 // them.
+//
+// Residency is indexed by 4 KiB page: one map entry per page holds a
+// 64-bit mask of its resident lines and a slot for each. The range
+// operations (NTStore's pre-flush, FlushRange, InvalidateRange, and so
+// ReadFresh and ReadStream) run on I/O buffers that are almost never
+// cached, so they cost one lookup per page, skip pages with no resident
+// line, and visit only the set mask bits inside the range — O(pages),
+// not O(lines). Emptied pages are recycled through a free-list, like
+// lines, so the miss/evict churn stays allocation-free.
 package cache
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"cxlpool/internal/mem"
 	"cxlpool/internal/sim"
@@ -45,6 +56,14 @@ const (
 // DefaultLines is the default cache capacity in lines (2 MiB / 64 B).
 const DefaultLines = 32768
 
+// Residency index geometry: 4 KiB pages of 64 lines, so one uint64
+// mask covers a page.
+const (
+	pageShift = 12
+	lineShift = 6 // log2(mem.CachelineSize)
+	pageLines = 1 << (pageShift - lineShift)
+)
+
 // line is one resident cacheline. Lines form an intrusive doubly-linked
 // LRU list (front = most recent); evicted structs are recycled through
 // the cache's free-list, so the miss/evict churn of a polling receiver
@@ -53,8 +72,22 @@ type line struct {
 	addr       mem.Address
 	data       [mem.CachelineSize]byte
 	dirty      bool
+	page       *page
 	prev, next *line
 }
+
+// page is the residency entry for one 4 KiB page: bit i of mask is set
+// exactly when lines[i] holds the resident line at offset i*64. Free
+// pages are linked through next.
+type page struct {
+	mask  uint64
+	lines [pageLines]*line
+	next  *page
+}
+
+// pageKey and lineSlot split a line address into its index coordinates.
+func pageKey(a mem.Address) mem.Address { return a >> pageShift }
+func lineSlot(a mem.Address) uint       { return uint(a>>lineShift) & (pageLines - 1) }
 
 // Cache is one host's private cache in front of a mem.Memory (its
 // address space: local DDR + CXL windows). It is not safe for concurrent
@@ -62,12 +95,17 @@ type line struct {
 type Cache struct {
 	host    string
 	backing mem.Memory
-	lines   map[mem.Address]*line
+	// pages indexes resident lines by page key; only pages with at least
+	// one resident line are present.
+	pages map[mem.Address]*page
+	n     int // resident lines
 	// Intrusive LRU: head is most recent, tail least recent.
 	head, tail *line
-	// free is the recycled-line stack, linked through next.
-	free *line
-	cap  int
+	// free and freePages are the recycled-line and recycled-page stacks,
+	// linked through next.
+	free      *line
+	freePages *page
+	cap       int
 	// fillBuf is the miss-path staging buffer. A local array would
 	// escape to the heap on every miss because it is passed through the
 	// mem.Memory interface; the cache is single-threaded, so one
@@ -75,12 +113,11 @@ type Cache struct {
 	fillBuf [mem.CachelineSize]byte
 
 	// Stats.
-	hits, misses    uint64
-	writebacks      uint64
-	ntStores        uint64
-	flushes         uint64
-	invalidations   uint64
-	staleRiskWrites uint64 // dirty lines created in non-local memory
+	hits, misses  uint64
+	writebacks    uint64
+	ntStores      uint64
+	flushes       uint64
+	invalidations uint64
 }
 
 // New creates a cache for host over backing with capacity capLines
@@ -92,7 +129,7 @@ func New(host string, backing mem.Memory, capLines int) *Cache {
 	return &Cache{
 		host:    host,
 		backing: backing,
-		lines:   make(map[mem.Address]*line),
+		pages:   make(map[mem.Address]*page),
 		cap:     capLines,
 	}
 }
@@ -106,6 +143,13 @@ func (c *Cache) Backing() mem.Memory { return c.backing }
 // Stats returns (hits, misses, writebacks).
 func (c *Cache) Stats() (hits, misses, writebacks uint64) {
 	return c.hits, c.misses, c.writebacks
+}
+
+// Coherence returns the software-coherence work counters: NTStore calls,
+// lines flushed (FlushLine, FlushRange, NTStore's pre-flush, FlushAll),
+// and lines dropped by InvalidateRange.
+func (c *Cache) Coherence() (ntStores, flushes, invalidations uint64) {
+	return c.ntStores, c.flushes, c.invalidations
 }
 
 // unlink removes a line from the LRU list.
@@ -144,11 +188,28 @@ func (c *Cache) touch(l *line) {
 	c.pushFront(l)
 }
 
-// release drops a line from the map and LRU and files its struct on the
-// free-list for reuse.
+// lookup returns the resident line at line address la, or nil.
+func (c *Cache) lookup(la mem.Address) *line {
+	if p := c.pages[pageKey(la)]; p != nil {
+		return p.lines[lineSlot(la)]
+	}
+	return nil
+}
+
+// release drops a line from the index and LRU and files its struct on
+// the free-list for reuse; a page left empty goes to the page free-list.
 func (c *Cache) release(l *line) {
 	c.unlink(l)
-	delete(c.lines, l.addr)
+	p, i := l.page, lineSlot(l.addr)
+	p.lines[i] = nil
+	p.mask &^= 1 << i
+	if p.mask == 0 {
+		delete(c.pages, pageKey(l.addr))
+		p.next = c.freePages
+		c.freePages = p
+	}
+	l.page = nil
+	c.n--
 	l.next = c.free
 	c.free = l
 }
@@ -167,7 +228,7 @@ func (c *Cache) newLine() *line {
 // dirty line writes it back (timed).
 func (c *Cache) insert(now sim.Time, addr mem.Address, data []byte, dirty bool) (*line, sim.Duration, error) {
 	var evictCost sim.Duration
-	if len(c.lines) >= c.cap {
+	if c.n >= c.cap {
 		victim := c.tail
 		if victim.dirty {
 			d, err := c.backing.WriteAt(now, victim.addr, victim.data[:])
@@ -179,17 +240,31 @@ func (c *Cache) insert(now sim.Time, addr mem.Address, data []byte, dirty bool) 
 		}
 		c.release(victim)
 	}
+	key := pageKey(addr)
+	p := c.pages[key]
+	if p == nil {
+		if p = c.freePages; p != nil {
+			c.freePages = p.next
+			p.next = nil
+		} else {
+			p = &page{}
+		}
+		c.pages[key] = p
+	}
 	l := c.newLine()
-	l.addr, l.dirty = addr, dirty
+	l.addr, l.dirty, l.page = addr, dirty, p
 	copy(l.data[:], data)
 	c.pushFront(l)
-	c.lines[addr] = l
+	i := lineSlot(addr)
+	p.lines[i] = l
+	p.mask |= 1 << i
+	c.n++
 	return l, evictCost, nil
 }
 
 // fetch returns the line for addr, loading it from backing on a miss.
 func (c *Cache) fetch(now sim.Time, addr mem.Address) (*line, sim.Duration, error) {
-	if l, ok := c.lines[addr]; ok {
+	if l := c.lookup(addr); l != nil {
 		c.hits++
 		c.touch(l)
 		return l, HitLatency, nil
@@ -259,7 +334,7 @@ func (c *Cache) Write(now sim.Time, a mem.Address, buf []byte) (sim.Duration, er
 		if n == mem.CachelineSize {
 			// Full-line store: no need to read-for-ownership on
 			// non-coherent memory; allocate directly.
-			if existing, ok := c.lines[la]; ok {
+			if existing := c.lookup(la); existing != nil {
 				l = existing
 				c.touch(l)
 				d = StoreHitLatency
@@ -291,6 +366,38 @@ func (c *Cache) Write(now sim.Time, a mem.Address, buf []byte) (sim.Duration, er
 	return total, nil
 }
 
+// forEachResident calls f, in ascending address order, on every
+// resident line overlapping [a, a+size): one index lookup per page, and
+// only the set mask bits inside the range. f may release its line.
+func (c *Cache) forEachResident(a mem.Address, size int, f func(l *line) error) error {
+	end := a + mem.Address(size)
+	if end <= a {
+		return nil
+	}
+	first, last := mem.AlignDown(a), mem.AlignDown(end-1)
+	for key := pageKey(first); key <= pageKey(last); key++ {
+		p := c.pages[key]
+		if p == nil {
+			continue
+		}
+		m := p.mask
+		if key == pageKey(first) {
+			m &= ^uint64(0) << lineSlot(first)
+		}
+		if key == pageKey(last) {
+			m &= ^uint64(0) >> (pageLines - 1 - lineSlot(last))
+		}
+		for m != 0 {
+			i := bits.TrailingZeros64(m)
+			m &= m - 1
+			if err := f(p.lines[i]); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // NTStore writes buf directly to memory, bypassing and invalidating this
 // cache's copies (MOVNT semantics). This is how the paper's channel
 // publishes messages (§4.1: "using non-temporal stores to send
@@ -299,15 +406,7 @@ func (c *Cache) NTStore(now sim.Time, a mem.Address, buf []byte) (sim.Duration, 
 	// An NT store to a line that is resident (and possibly dirty with
 	// *other* bytes of the same line) first writes the line back, as x86
 	// implementations do, so no earlier cached store is lost.
-	var flushCost sim.Duration
-	err := forEachLine(a, len(buf), func(la mem.Address, _, _ int) error {
-		d, err := c.FlushLine(now+flushCost, la)
-		if err != nil {
-			return err
-		}
-		flushCost += d
-		return nil
-	})
+	flushCost, err := c.FlushRange(now, a, len(buf))
 	if err != nil {
 		return 0, err
 	}
@@ -322,14 +421,18 @@ func (c *Cache) NTStore(now sim.Time, a mem.Address, buf []byte) (sim.Duration, 
 // FlushLine writes back (if dirty) and invalidates the line containing a
 // (CLFLUSH).
 func (c *Cache) FlushLine(now sim.Time, a mem.Address) (sim.Duration, error) {
-	la := mem.AlignDown(a)
-	l, ok := c.lines[la]
-	if !ok {
+	l := c.lookup(mem.AlignDown(a))
+	if l == nil {
 		return 0, nil
 	}
+	return c.flush(now, l)
+}
+
+// flush writes back l if dirty and releases it.
+func (c *Cache) flush(now sim.Time, l *line) (sim.Duration, error) {
 	var d sim.Duration
 	if l.dirty {
-		wd, err := c.backing.WriteAt(now, la, l.data[:])
+		wd, err := c.backing.WriteAt(now, l.addr, l.data[:])
 		if err != nil {
 			return 0, err
 		}
@@ -345,8 +448,8 @@ func (c *Cache) FlushLine(now sim.Time, a mem.Address) (sim.Duration, error) {
 // written back serially, which is what a CLFLUSH loop costs.
 func (c *Cache) FlushRange(now sim.Time, a mem.Address, size int) (sim.Duration, error) {
 	var total sim.Duration
-	err := forEachLine(a, size, func(la mem.Address, _, _ int) error {
-		d, err := c.FlushLine(now+total, la)
+	err := c.forEachResident(a, size, func(l *line) error {
+		d, err := c.flush(now+total, l)
 		if err != nil {
 			return err
 		}
@@ -364,11 +467,9 @@ func (c *Cache) FlushRange(now sim.Time, a mem.Address, size int) (sim.Duration,
 // invalidation; the receiver side of a channel uses it on memory it only
 // reads.
 func (c *Cache) InvalidateRange(a mem.Address, size int) {
-	_ = forEachLine(a, size, func(la mem.Address, _, _ int) error {
-		if l, ok := c.lines[la]; ok {
-			c.release(l)
-			c.invalidations++
-		}
+	_ = c.forEachResident(a, size, func(l *line) error {
+		c.release(l)
+		c.invalidations++
 		return nil
 	})
 }
@@ -396,21 +497,17 @@ func (c *Cache) ReadStream(now sim.Time, a mem.Address, buf []byte) (sim.Duratio
 // already ordered, so it only costs time.
 func (c *Cache) Fence() sim.Duration { return FenceLatency }
 
-// FlushAll writes back and invalidates everything (used on host
-// hot-remove so no dirty pool data is stranded in a dead host's cache).
+// FlushAll writes back and invalidates everything, in ascending address
+// order (used on host hot-remove so no dirty pool data is stranded in a
+// dead host's cache).
 func (c *Cache) FlushAll(now sim.Time) (sim.Duration, error) {
+	// Collect addresses first: flushing unlinks lines.
+	addrs := make([]mem.Address, 0, c.n)
+	for l := c.head; l != nil; l = l.next {
+		addrs = append(addrs, l.addr)
+	}
+	slices.Sort(addrs)
 	var total sim.Duration
-	// Collect addresses first: FlushLine mutates the map.
-	addrs := make([]mem.Address, 0, len(c.lines))
-	for a := range c.lines {
-		addrs = append(addrs, a)
-	}
-	// Deterministic order.
-	for i := 1; i < len(addrs); i++ {
-		for j := i; j > 0 && addrs[j] < addrs[j-1]; j-- {
-			addrs[j], addrs[j-1] = addrs[j-1], addrs[j]
-		}
-	}
 	for _, a := range addrs {
 		d, err := c.FlushLine(now+total, a)
 		if err != nil {
@@ -422,4 +519,4 @@ func (c *Cache) FlushAll(now sim.Time) (sim.Duration, error) {
 }
 
 // Len returns the number of resident lines.
-func (c *Cache) Len() int { return len(c.lines) }
+func (c *Cache) Len() int { return c.n }

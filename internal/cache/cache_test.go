@@ -475,3 +475,118 @@ func TestReadStreamBypassesCacheButSeesFreshData(t *testing.T) {
 		t.Fatalf("stream read left %d lines resident", b.Len())
 	}
 }
+
+// TestCoherenceCounters pins the software-coherence work counters: one
+// per NTStore call, one per line flushed or invalidated, and none for
+// absent lines in a range.
+func TestCoherenceCounters(t *testing.T) {
+	p := pool()
+	c := New("A", p, 0)
+	buf := make([]byte, 64)
+	// Lines at 0, 64 and 4096 (the next page) resident; 64 dirty.
+	for _, a := range []mem.Address{0, 64, 4096} {
+		if _, err := c.Read(0, a, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := c.Write(0, 64, buf[:8]); err != nil {
+		t.Fatal(err)
+	}
+	// Flushes 64 (written back) and 4096 out of an 8 KiB range.
+	if _, err := c.NTStore(10, 64, make([]byte, 8192)); err != nil {
+		t.Fatal(err)
+	}
+	// Drops line 0; the rest of the range is absent.
+	c.InvalidateRange(0, 3*4096)
+	if _, err := c.NTStore(20, 0, buf); err != nil {
+		t.Fatal(err)
+	}
+	nt, fl, inv := c.Coherence()
+	if nt != 2 || fl != 2 || inv != 1 {
+		t.Fatalf("Coherence() = (%d, %d, %d), want (2, 2, 1)", nt, fl, inv)
+	}
+	if _, _, wb := c.Stats(); wb != 1 || c.Len() != 0 {
+		t.Fatalf("writebacks = %d, Len = %d; want 1, 0", wb, c.Len())
+	}
+}
+
+// TestRangeOpsSteadyStateZeroAlloc pins the allocation-free data plane:
+// jumbo NTStore and ReadStream over partly resident pages, and polling
+// whose evictions empty and refill pages, so page recycling is covered.
+func TestRangeOpsSteadyStateZeroAlloc(t *testing.T) {
+	p := pool()
+	c := New("A", p, 16)
+	jumbo := make([]byte, 8192)
+	word := make([]byte, 8)
+	now := sim.Time(0)
+	step := func() {
+		// Resident lines inside the buffer and on unrelated pages.
+		for _, a := range []mem.Address{4096 + 128, 3*4096 + 64, 64 << 10} {
+			if _, err := c.Write(now, a, word); err != nil {
+				t.Fatal(err)
+			}
+		}
+		d, err := c.NTStore(now, 4096+100, jumbo)
+		if err != nil {
+			t.Fatal(err)
+		}
+		now += d
+		if _, err := c.Read(now, 2*4096, word); err != nil {
+			t.Fatal(err)
+		}
+		if d, err = c.ReadStream(now, 4096+100, jumbo); err != nil {
+			t.Fatal(err)
+		}
+		now += d
+		// 20 polled words over five pages through a 16-line cache.
+		for i := 0; i < 20; i++ {
+			if d, err = c.ReadFresh(now, mem.Address(128<<10+i*1000), word); err != nil {
+				t.Fatal(err)
+			}
+			now += d
+		}
+	}
+	step() // warm the backing region's chunks and the free-lists
+	if allocs := testing.AllocsPerRun(100, step); allocs != 0 {
+		t.Fatalf("steady-state range ops allocate %.1f/op, want 0", allocs)
+	}
+}
+
+// jumboCache returns a cache with lines resident on the pages an 8 KiB
+// buffer at 4096+100 touches, just outside the buffer, and on unrelated
+// pages, as a host's cache looks while its vNIC moves jumbo frames
+// through pool buffers.
+func jumboCache(b *testing.B) *Cache {
+	c := New("A", pool(), 0)
+	word := make([]byte, 8)
+	for _, a := range []mem.Address{0, 4096, 3*4096 + 512, 5 * 4096} {
+		if _, err := c.Read(0, a, word); err != nil {
+			b.Fatal(err)
+		}
+	}
+	return c
+}
+
+func BenchmarkNTStoreJumbo(b *testing.B) {
+	c := jumboCache(b)
+	buf := make([]byte, 8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.NTStore(sim.Time(i*10000), 4096+100, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkReadStreamJumbo(b *testing.B) {
+	c := jumboCache(b)
+	buf := make([]byte, 8192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := c.ReadStream(sim.Time(i*10000), 4096+100, buf); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -254,7 +254,10 @@ func lastElem(path string) string {
 // order feeds observable output: the packages that produce reports, run
 // the control plane, or merge parallel results. These are exactly the
 // packages where the PR 1 / PR 3 map-iteration bugs lived.
+// The cache is here too: its flush and eviction order feeds simulated
+// time.
 var criticalPkgs = map[string]bool{
+	"cache":       true,
 	"orch":        true,
 	"cluster":     true,
 	"experiments": true,

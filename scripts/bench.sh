@@ -71,12 +71,14 @@ RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
 # The curated set: artifact-level regenerations at the root, kernel
-# stress in internal/sim, packer scaling in internal/stranding, and the
-# rack-scale federation and multi-row fleet cycles.
+# stress in internal/sim, packer scaling in internal/stranding, the
+# rack-scale federation and multi-row fleet cycles, and the cache's
+# jumbo-buffer coherence range operations.
 go test -run='^$' -bench='Figure2Stranding|Figure2XL|SqrtNPooling|Figure4PingPong|ToRless|AllExperiments|ClusterFederation|MultiRow|FailuresScenario|FailuresCorrelated|ChurnAdmission|SpineContention' \
     -benchmem -benchtime="$BENCHTIME" . | tee -a "$RAW"
 go test -run='^$' -bench=. -benchmem -benchtime="$BENCHTIME" ./internal/sim/ | tee -a "$RAW"
 go test -run='^$' -bench='PackCluster2000|PackCluster20k' -benchmem -benchtime="$BENCHTIME" ./internal/stranding/ | tee -a "$RAW"
+go test -run='^$' -bench='NTStoreJumbo|ReadStreamJumbo' -benchmem -benchtime="$BENCHTIME" ./internal/cache/ | tee -a "$RAW"
 
 awk -v date="$DATE" -v benchtime="$BENCHTIME" '
 BEGIN { n = 0 }
