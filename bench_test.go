@@ -27,11 +27,17 @@ import (
 	"cxlpool/internal/workload"
 )
 
+// benchSeed is the one input every benchmark runs, on every iteration.
+// A seed drawn per iteration would make allocs/op and ns/op the mean
+// over the first b.N seeds, so a one-iteration smoke run and a 1 s run
+// would measure different inputs.
+const benchSeed int64 = 42
+
 // BenchmarkFigure2Stranding regenerates Figure 2 (stranded CPU, memory,
 // SSD, and NIC capacity in a saturated cluster).
 func BenchmarkFigure2Stranding(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := stranding.PackCluster(stranding.Config{Hosts: 2000, Seed: int64(i)}); err != nil {
+		if _, err := stranding.PackCluster(stranding.Config{Hosts: 2000, Seed: benchSeed}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -41,7 +47,7 @@ func BenchmarkFigure2Stranding(b *testing.B) {
 // enables (E13): ten Figure 2 clusters' worth of hosts per iteration.
 func BenchmarkFigure2XL(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := stranding.PackCluster(stranding.Config{Hosts: 20000, Seed: int64(i)}); err != nil {
+		if _, err := stranding.PackCluster(stranding.Config{Hosts: 20000, Seed: benchSeed}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -51,7 +57,7 @@ func BenchmarkFigure2XL(b *testing.B) {
 // parallel runner — the end-to-end `cxlpool all` cost.
 func BenchmarkAllExperiments(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunAll(io.Discard, int64(i), 0); err != nil {
+		if err := experiments.RunAll(io.Discard, benchSeed, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -61,7 +67,7 @@ func BenchmarkAllExperiments(b *testing.B) {
 // 54%→19%, NIC 29%→10% at N=8).
 func BenchmarkSqrtNPooling(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := stranding.PoolingStudy(stranding.Config{Seed: int64(i)},
+		if _, err := stranding.PoolingStudy(stranding.Config{Seed: benchSeed},
 			[]int{1, 2, 4, 8, 16, 32}, 0.99); err != nil {
 			b.Fatal(err)
 		}
@@ -79,7 +85,7 @@ func benchFigure3(b *testing.B, payload int, loadMOPS float64) {
 				OfferedMOPS: loadMOPS,
 				Duration:    5 * sim.Millisecond,
 				Mode:        mode,
-				Seed:        int64(i),
+				Seed:        benchSeed,
 			}); err != nil {
 				b.Fatal(err)
 			}
@@ -100,7 +106,7 @@ func BenchmarkFigure3UDP9000B(b *testing.B) { benchFigure3(b, 9000, 0.6) }
 // latency through non-coherent CXL shared memory.
 func BenchmarkFigure4PingPong(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := shm.PingPong(shm.PingPongConfig{Messages: 20000, Seed: int64(i)}); err != nil {
+		if _, err := shm.PingPong(shm.PingPongConfig{Messages: 20000, Seed: benchSeed}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -109,7 +115,7 @@ func BenchmarkFigure4PingPong(b *testing.B) {
 // BenchmarkCostModel regenerates the §1/§3 rack economics comparison.
 func BenchmarkCostModel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunText(io.Discard, "cost", int64(i)); err != nil {
+		if err := experiments.RunText(io.Discard, "cost", benchSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -118,7 +124,7 @@ func BenchmarkCostModel(b *testing.B) {
 // BenchmarkLanePlanner regenerates the §5 lane-requirement table.
 func BenchmarkLanePlanner(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunText(io.Discard, "lanes", int64(i)); err != nil {
+		if err := experiments.RunText(io.Discard, "lanes", benchSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,7 +134,7 @@ func BenchmarkLanePlanner(b *testing.B) {
 // direct CXL / switched CXL).
 func BenchmarkMemoryLatency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunText(io.Discard, "memlat", int64(i)); err != nil {
+		if err := experiments.RunText(io.Discard, "memlat", benchSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -138,7 +144,7 @@ func BenchmarkMemoryLatency(b *testing.B) {
 // failure, shared-memory health detection, orchestrated remap.
 func BenchmarkFailover(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		pod, err := core.NewPod(core.Config{Hosts: 3, NICsPerHost: 1, Seed: int64(i), AgentPollInterval: 1000})
+		pod, err := core.NewPod(core.Config{Hosts: 3, NICsPerHost: 1, Seed: benchSeed, AgentPollInterval: 1000})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,7 +181,7 @@ func BenchmarkFailover(b *testing.B) {
 func BenchmarkAblationCoherence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, mode := range []shm.SendMode{shm.ModeNT, shm.ModeWriteFlush} {
-			if _, err := shm.PingPong(shm.PingPongConfig{Messages: 5000, Seed: int64(i), Mode: mode}); err != nil {
+			if _, err := shm.PingPong(shm.PingPongConfig{Messages: 5000, Seed: benchSeed, Mode: mode}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -186,7 +192,7 @@ func BenchmarkAblationCoherence(b *testing.B) {
 func BenchmarkAblationSwitchedPod(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, switched := range []bool{false, true} {
-			if _, err := shm.PingPong(shm.PingPongConfig{Messages: 5000, Seed: int64(i), Switched: switched}); err != nil {
+			if _, err := shm.PingPong(shm.PingPongConfig{Messages: 5000, Seed: benchSeed, Switched: switched}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -197,7 +203,7 @@ func BenchmarkAblationSwitchedPod(b *testing.B) {
 // comparison.
 func BenchmarkToRless(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := torless.Analyze(torless.Config{Trials: 50000, Seed: int64(i)}); err != nil {
+		if _, err := torless.Analyze(torless.Config{Trials: 50000, Seed: benchSeed}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -253,7 +259,7 @@ func BenchmarkClusterFederation(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		c, err := cluster.New(cluster.Config{
 			TenantsPerRack: 6, // default topology: one row of four racks
-			Seed:           int64(i),
+			Seed:           benchSeed,
 			Federate:       true,
 			Skew:           workload.RackSkew{HotFactor: 12, Period: 2},
 		})
@@ -282,7 +288,7 @@ func BenchmarkMultiRow(b *testing.B) {
 		c, err := cluster.New(cluster.Config{
 			Topo:           tp,
 			TenantsPerRack: 6,
-			Seed:           int64(i),
+			Seed:           benchSeed,
 			Federate:       true,
 			Epoch:          sim.Millisecond,
 			Skew:           workload.RackSkew{HotFactor: 12, Period: 2},
@@ -305,7 +311,7 @@ func BenchmarkMultiRow(b *testing.B) {
 // strikes/repairs, policy heartbeats, report rendering).
 func BenchmarkFailuresScenario(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunText(io.Discard, "failures", int64(i)); err != nil {
+		if err := experiments.RunText(io.Discard, "failures", benchSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -325,7 +331,7 @@ func BenchmarkFailuresCorrelated(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := s.NewParams()
 		for name, v := range map[string]string{
-			"seed":  strconv.Itoa(i),
+			"seed":  strconv.FormatInt(benchSeed, 10),
 			"class": "mix",
 			"crews": "1",
 		} {
@@ -355,7 +361,7 @@ func BenchmarkChurnAdmission(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := s.NewParams()
 		for _, kv := range [][2]string{
-			{"seed", strconv.Itoa(i)},
+			{"seed", strconv.FormatInt(benchSeed, 10)},
 			{"arrivals", "bursty"},
 			{"lifetime", "pareto"},
 			{"rate", "8"},
@@ -379,7 +385,7 @@ func BenchmarkChurnAdmission(b *testing.B) {
 // NVMe-oF 4K read latency on two media profiles.
 func BenchmarkStorageComparison(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunText(io.Discard, "storage", int64(i)); err != nil {
+		if err := experiments.RunText(io.Discard, "storage", benchSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -389,7 +395,7 @@ func BenchmarkStorageComparison(b *testing.B) {
 // through a local vs pooled NIC.
 func BenchmarkPooledNICDatapath(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if err := experiments.RunText(io.Discard, "pooled", int64(i)); err != nil {
+		if err := experiments.RunText(io.Discard, "pooled", benchSeed); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -409,7 +415,7 @@ func BenchmarkSpineContention(b *testing.B) {
 		c, err := cluster.New(cluster.Config{
 			Topo:           tp,
 			TenantsPerRack: 6,
-			Seed:           int64(i),
+			Seed:           benchSeed,
 			Federate:       true,
 			Oversub:        4,
 			Skew:           workload.RackSkew{HotFactor: 12, Period: 2},
@@ -422,6 +428,32 @@ func BenchmarkSpineContention(b *testing.B) {
 		}
 		if _, _, mig, _ := c.Counters(); mig.Total() == 0 {
 			b.Fatal("contended federation cycle moved nothing")
+		}
+	}
+}
+
+// BenchmarkClusterNew measures fleet construction alone in
+// fleet-hotspot's shape (2 rows x 4 racks, 6 tenants per rack): every
+// rack pod, orchestrator and warm NIC, and one vNIC bind per tenant,
+// each carving its TX/RX buffers and two sanitized channels from the
+// rack's CXL pool. The input is fixed, so every iteration does the
+// same work.
+func BenchmarkClusterNew(b *testing.B) {
+	for i := 0; i < b.N; i++ {
+		tp, err := topo.MultiRow(2, 4, topo.RackSpec{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cluster.New(cluster.Config{
+			Topo:           tp,
+			TenantsPerRack: 6,
+			Seed:           benchSeed,
+			Federate:       true,
+			Workers:        1,
+			Epoch:          sim.Millisecond,
+			Skew:           workload.RackSkew{HotFactor: 12, Period: 2},
+		}); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

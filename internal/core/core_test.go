@@ -428,3 +428,35 @@ func BenchmarkVNICRemoteSend(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkVNICBindUnbind is the control-plane cost of one tenant
+// binding at steady state: a remote bind in the cluster's tenant vNIC
+// shape (9216 B buffers, 256 TX and 8 RX, two 512-slot channels)
+// followed by its unbind. One agent poll per iteration lets both
+// agents drop the dead services, as the epoch loop does between binds.
+// A first, untimed cycle grows the vNIC's and NIC's slices, so even a
+// one-iteration run measures the steady state.
+func BenchmarkVNICBindUnbind(b *testing.B) {
+	p, err := NewPod(Config{Hosts: 2, NICsPerHost: 1, Seed: 7, AgentPollInterval: sim.Microsecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h0, _ := p.Host("host0")
+	h1, _ := p.Host("host1")
+	v := NewVirtualNIC(h0, "t0", VNICConfig{BufSize: 9216, TxBuffers: 256, RxBuffers: 8, ChannelSlots: 512})
+	cycle := func() {
+		if _, err := v.Bind(h1, "host1-nic0"); err != nil {
+			b.Fatal(err)
+		}
+		v.Unbind()
+		if _, err := p.Engine.RunUntil(p.Engine.Now() + sim.Microsecond); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cxlpool/internal/mem"
 	"cxlpool/internal/metrics"
@@ -113,8 +114,8 @@ func NewVirtualNIC(user *Host, name string, cfg VNICConfig) *VirtualNIC {
 		name:        name,
 		user:        user,
 		cfg:         cfg,
-		SendLatency: metrics.NewRecorder(4096),
-		E2ELatency:  metrics.NewRecorder(4096),
+		SendLatency: metrics.NewRecorder(0),
+		E2ELatency:  metrics.NewRecorder(0),
 	}
 	user.pod.vnics[name] = v
 	return v
@@ -193,7 +194,7 @@ func (v *VirtualNIC) bind(owner *Host, phys *nicsim.NIC) error {
 	v.userSvc = v.user.agent.addService(compCh.NewReceiver(v.user.cache), v.handleUser)
 
 	// Allocate TX pool and post RX buffers (control-plane setup).
-	v.txFree = v.txFree[:0]
+	v.txFree = slices.Grow(v.txFree[:0], v.cfg.TxBuffers)
 	for i := 0; i < v.cfg.TxBuffers; i++ {
 		a, err := pod.SharedAlloc(v.cfg.BufSize)
 		if err != nil {
@@ -201,16 +202,16 @@ func (v *VirtualNIC) bind(owner *Host, phys *nicsim.NIC) error {
 		}
 		v.txFree = append(v.txFree, a)
 	}
-	v.rxAddrs = v.rxAddrs[:0]
+	v.rxAddrs = slices.Grow(v.rxAddrs[:0], v.cfg.RxBuffers)
 	for i := 0; i < v.cfg.RxBuffers; i++ {
 		a, err := pod.SharedAlloc(v.cfg.BufSize)
 		if err != nil {
 			return fmt.Errorf("core: vNIC RX pool: %w", err)
 		}
 		v.rxAddrs = append(v.rxAddrs, a)
-		if err := phys.PostRxBuffer(a, v.cfg.BufSize); err != nil {
-			return err
-		}
+	}
+	if err := phys.PostRxBuffers(v.rxAddrs, v.cfg.BufSize); err != nil {
+		return err
 	}
 	phys.OnReceive(v.ownerRxCompletion)
 	return nil

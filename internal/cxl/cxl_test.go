@@ -374,6 +374,10 @@ func TestPodDetachReleasesAllocations(t *testing.T) {
 	if p.FreeCapacity() != free0 {
 		t.Fatalf("detach leaked pool capacity: %d != %d", p.FreeCapacity(), free0)
 	}
+	// The detached handle reports nothing held: the pool took it back.
+	if got := a.AllocatedBytes(); got != 0 {
+		t.Fatalf("detached AllocatedBytes = %d, want 0", got)
+	}
 	// Allocation through a detached attachment fails.
 	if _, err := a.Alloc(64); !errors.Is(err, ErrNotAttached) {
 		t.Fatalf("alloc after detach err = %v", err)

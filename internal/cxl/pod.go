@@ -185,6 +185,8 @@ func (p *Pod) DetachHost(host string) error {
 		_ = p.alloc.Free(addr)
 	}
 	a.allocs = nil
+	a.allocSizes = nil
+	a.allocTotal = 0
 	for _, v := range a.views {
 		_ = v.Detach()
 	}
@@ -243,7 +245,7 @@ func (a *Attachment) Alloc(size int) (mem.Address, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrPoolExceeded, err)
 	}
-	// Sanitize: the media behind [addr, addr+size) is zeroed. Poke via
+	// Sanitize: the media behind [addr, addr+size) is zeroed through
 	// the interleave translation so every stripe lands on the right
 	// device.
 	rounded := int(mem.AlignUp(mem.Address(size)))
@@ -273,16 +275,12 @@ func (p *Pod) Sanitize(addr mem.Address, size int) error {
 	return p.sanitize(addr, size)
 }
 
-// zeroStripe is the shared scratch for sanitize writes: one interleave
-// stripe of zeroes, so sanitizing never allocates (two channel carves
-// per vNIC bind would otherwise heap a full footprint each).
-var zeroStripe [InterleaveGranularity]byte
-
 // sanitize zeroes pool media without timing (a background controller
 // operation completed before the capacity is handed to the host).
-// Chunks are clipped to interleave-stripe boundaries: translate maps a
-// single address to one member, and a write crossing a stripe edge
-// would land the tail bytes on the wrong device-local addresses.
+// Pieces are clipped to interleave-stripe boundaries: translate maps a
+// single address to one member, and a range crossing a stripe edge
+// would land the tail bytes on the wrong device-local addresses. Media
+// that was never written already reads as zero and is left untouched.
 func (p *Pod) sanitize(addr mem.Address, size int) error {
 	// Use any attachment's interleave translation; media is shared. If
 	// no host is attached yet the allocator cannot be reached either,
@@ -298,7 +296,7 @@ func (p *Pod) sanitize(addr mem.Address, size int) error {
 			}
 			m, local := a.interleave.translate(cur)
 			if pv, ok := m.(*PortView); ok {
-				if err := pv.Device().Media().Poke(local, zeroStripe[:n]); err != nil {
+				if err := pv.Device().Media().Zero(local, n); err != nil {
 					return err
 				}
 			}

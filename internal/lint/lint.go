@@ -255,9 +255,12 @@ func lastElem(path string) string {
 // the control plane, or merge parallel results. These are exactly the
 // packages where the PR 1 / PR 3 map-iteration bugs lived.
 // The cache is here too: its flush and eviction order feeds simulated
-// time.
+// time. So are mem and cxl: allocator addresses and stripe timing feed
+// it as well.
 var criticalPkgs = map[string]bool{
 	"cache":       true,
+	"mem":         true,
+	"cxl":         true,
 	"orch":        true,
 	"cluster":     true,
 	"experiments": true,

@@ -299,6 +299,25 @@ func (r *Region) Poke(a Address, buf []byte) error {
 	return nil
 }
 
+// Zero clears [a, a+n) without timing, like a Poke of zeroes. A chunk
+// that was never written already reads as zero, so only chunks that
+// exist are touched: zeroing media nobody wrote allocates nothing.
+func (r *Region) Zero(a Address, n int) error {
+	if !r.Contains(a, n) {
+		return ErrOutOfRange
+	}
+	for off := int(a - r.base); n > 0; {
+		ci, co := off>>chunkShift, off&(chunkBytes-1)
+		m := min(chunkBytes-co, n)
+		if c := r.chunks[ci]; c != nil {
+			clear(c[co : co+m])
+		}
+		off += m
+		n -= m
+	}
+	return nil
+}
+
 // Memory is the access interface shared by regions, address spaces, and
 // composed paths (e.g. a CXL link in front of device media).
 type Memory interface {

@@ -356,17 +356,15 @@ func TestAllocatorZeroAndNegative(t *testing.T) {
 func TestAllocatorNoOverlapProperty(t *testing.T) {
 	if err := quick.Check(func(ops []uint8) bool {
 		a := NewAllocator(0, 1<<14)
-		live := map[Address]int{}
+		var live []span
 		for _, op := range ops {
 			if op%3 != 0 && len(live) > 0 && op%2 == 1 {
-				// Free an arbitrary live block.
-				for addr := range live {
-					if a.Free(addr) != nil {
-						return false
-					}
-					delete(live, addr)
-					break
+				// Free a live block the op picks.
+				i := int(op) % len(live)
+				if a.Free(live[i].base) != nil {
+					return false
 				}
+				live = append(live[:i], live[i+1:]...)
 				continue
 			}
 			size := int(op)%512 + 1
@@ -375,16 +373,16 @@ func TestAllocatorNoOverlapProperty(t *testing.T) {
 				continue // exhaustion is fine
 			}
 			rounded := int(AlignUp(Address(size)))
-			for other, osz := range live {
-				if addr < other+Address(osz) && other < addr+Address(rounded) {
+			for _, o := range live {
+				if addr < o.base+Address(o.size) && o.base < addr+Address(rounded) {
 					return false // overlap
 				}
 			}
-			live[addr] = rounded
+			live = append(live, span{base: addr, size: rounded})
 		}
 		total := 0
-		for _, sz := range live {
-			total += sz
+		for _, s := range live {
+			total += s.size
 		}
 		return total+a.FreeBytes() == a.Size()
 	}, &quick.Config{MaxCount: 200}); err != nil {

@@ -12,6 +12,7 @@ package nicsim
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"cxlpool/internal/mem"
 	"cxlpool/internal/netsim"
@@ -191,6 +192,21 @@ func (n *NIC) PostRxBuffer(addr mem.Address, size int) error {
 		n.rxHead = 0
 	}
 	n.rxRing = append(n.rxRing, rxDesc{addr: addr, size: size})
+	return nil
+}
+
+// PostRxBuffers posts addrs in order, each as PostRxBuffer would, with
+// the ring grown once for the whole batch. It stops at the first error;
+// the buffers before it stay posted.
+func (n *NIC) PostRxBuffers(addrs []mem.Address, size int) error {
+	if room := n.ringDepth - n.RxRingLen(); room > 0 {
+		n.rxRing = slices.Grow(n.rxRing, min(len(addrs), room))
+	}
+	for _, a := range addrs {
+		if err := n.PostRxBuffer(a, size); err != nil {
+			return err
+		}
+	}
 	return nil
 }
 

@@ -72,13 +72,17 @@ trap 'rm -f "$RAW"' EXIT
 
 # The curated set: artifact-level regenerations at the root, kernel
 # stress in internal/sim, packer scaling in internal/stranding, the
-# rack-scale federation and multi-row fleet cycles, and the cache's
-# jumbo-buffer coherence range operations.
-go test -run='^$' -bench='Figure2Stranding|Figure2XL|SqrtNPooling|Figure4PingPong|ToRless|AllExperiments|ClusterFederation|MultiRow|FailuresScenario|FailuresCorrelated|ChurnAdmission|SpineContention' \
+# rack-scale federation and multi-row fleet cycles, fleet construction,
+# the cache's jumbo-buffer coherence range operations, and one tenant
+# vNIC bind/unbind. Every benchmark runs one fixed input on every
+# iteration, so a 1x smoke run and a 1s run measure the same work and
+# their allocs/op compare like for like.
+go test -run='^$' -bench='Figure2Stranding|Figure2XL|SqrtNPooling|Figure4PingPong|ToRless|AllExperiments|ClusterFederation|MultiRow|FailuresScenario|FailuresCorrelated|ChurnAdmission|SpineContention|ClusterNew' \
     -benchmem -benchtime="$BENCHTIME" . | tee -a "$RAW"
 go test -run='^$' -bench=. -benchmem -benchtime="$BENCHTIME" ./internal/sim/ | tee -a "$RAW"
 go test -run='^$' -bench='PackCluster2000|PackCluster20k' -benchmem -benchtime="$BENCHTIME" ./internal/stranding/ | tee -a "$RAW"
 go test -run='^$' -bench='NTStoreJumbo|ReadStreamJumbo' -benchmem -benchtime="$BENCHTIME" ./internal/cache/ | tee -a "$RAW"
+go test -run='^$' -bench='VNICBindUnbind' -benchmem -benchtime="$BENCHTIME" ./internal/core/ | tee -a "$RAW"
 
 awk -v date="$DATE" -v benchtime="$BENCHTIME" '
 BEGIN { n = 0 }
