@@ -201,6 +201,15 @@ func TestGenerateRejectsBadConfig(t *testing.T) {
 		{Epochs: 10, Racks: 4, Rate: maxRate + 1},
 		{Epochs: 10, Racks: 4, MeanLife: 0.5},
 		{Epochs: 10, Racks: 4, Diurnal: 1.5},
+		{Epochs: 10, Racks: 4, Rate: math.NaN()},
+		{Epochs: 10, Racks: 4, Rate: math.Inf(1)},
+		{Epochs: 10, Racks: 4, Rate: math.Inf(-1)},
+		{Epochs: 10, Racks: 4, MeanLife: math.NaN()},
+		{Epochs: 10, Racks: 4, MeanLife: math.Inf(1)},
+		{Epochs: 10, Racks: 4, MeanLife: math.Inf(-1)},
+		{Epochs: 10, Racks: 4, Diurnal: math.NaN()},
+		{Epochs: 10, Racks: 4, Diurnal: math.Inf(1)},
+		{Epochs: 10, Racks: 4, Diurnal: math.Inf(-1)},
 	}
 	for i, cfg := range cases {
 		if _, err := Generate(cfg); !errors.Is(err, ErrBadTrace) {

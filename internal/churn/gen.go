@@ -142,13 +142,15 @@ func (c GenConfig) validate() error {
 	if c.Racks <= 0 {
 		return fmt.Errorf("%w: racks %d must be positive", ErrBadTrace, c.Racks)
 	}
-	if c.Rate <= 0 || c.Rate > maxRate {
+	// Each check is written so NaN fails it: every comparison with NaN
+	// is false, and a NaN rate would stall poisson's product loop.
+	if !(c.Rate > 0 && c.Rate <= maxRate) {
 		return fmt.Errorf("%w: rate %g outside (0, %g]", ErrBadTrace, c.Rate, maxRate)
 	}
-	if c.MeanLife < 1 {
-		return fmt.Errorf("%w: mean lifetime %g must be >= 1 epoch", ErrBadTrace, c.MeanLife)
+	if !(c.MeanLife >= 1) || math.IsInf(c.MeanLife, 1) {
+		return fmt.Errorf("%w: mean lifetime %g must be finite and >= 1 epoch", ErrBadTrace, c.MeanLife)
 	}
-	if c.Diurnal < 0 || c.Diurnal > 0.95 {
+	if !(c.Diurnal >= 0 && c.Diurnal <= 0.95) {
 		return fmt.Errorf("%w: diurnal amplitude %g outside [0, 0.95]", ErrBadTrace, c.Diurnal)
 	}
 	return nil

@@ -37,7 +37,6 @@ import (
 	"cxlpool/internal/metrics"
 	"cxlpool/internal/nicsim"
 	"cxlpool/internal/orch"
-	"cxlpool/internal/params"
 	"cxlpool/internal/runner"
 	"cxlpool/internal/sim"
 	"cxlpool/internal/spine"
@@ -151,85 +150,6 @@ func (c Config) withDefaults() Config {
 	}
 	c.Skew.Racks = c.Topo.RackCount()
 	return c
-}
-
-// ParamSpecs declares the federation experiment's tunable surface for
-// the Scenario API: CLI flags, usage text, and sweep axes are all
-// generated from these declarations. On top of the original
-// racks/workers surface the topology redesign adds a preset selector
-// plus the row and heterogeneity knobs it reads.
-func ParamSpecs() []params.Spec {
-	return []params.Spec{
-		{Name: "racks", Kind: params.Int, Def: "4", Min: 2, Max: 64, Bounded: true,
-			Help: "failure-domain (rack) count"},
-		{Name: "workers", Kind: params.Int, Def: "0", Min: 0, Max: 1024, Bounded: true,
-			Help: "parallel rack simulation workers (0 = GOMAXPROCS, 1 = sequential)"},
-		{Name: "topo", Kind: params.String, Def: "uniform",
-			Enum: []string{"uniform", "multirow", "het"},
-			Help: "topology preset: uniform (one row, identical racks), multirow (-rows rows), het (-rows rows, -het profile)"},
-		{Name: "rows", Kind: params.Int, Def: "1", Min: 1, Max: 16, Bounded: true,
-			Help: "rows for the multirow/het presets (racks split contiguously)"},
-		{Name: "het", Kind: params.String, Def: "mixed",
-			Enum: topo.HetProfiles(),
-			Help: "rack heterogeneity profile for -topo het (odd racks differ)"},
-	}
-}
-
-// MultiRowParamSpecs declares the multirow scenario's surface: the
-// same knobs with multi-row defaults and no preset indirection.
-func MultiRowParamSpecs() []params.Spec {
-	return []params.Spec{
-		{Name: "racks", Kind: params.Int, Def: "8", Min: 2, Max: 64, Bounded: true,
-			Help: "total rack count (split contiguously across rows)"},
-		{Name: "rows", Kind: params.Int, Def: "2", Min: 1, Max: 16, Bounded: true,
-			Help: "row count (a row is one spine domain of racks)"},
-		{Name: "het", Kind: params.String, Def: "none",
-			Enum: topo.HetProfiles(),
-			Help: "rack heterogeneity profile (odd racks differ)"},
-		{Name: "workers", Kind: params.Int, Def: "0", Min: 0, Max: 1024, Bounded: true,
-			Help: "parallel rack simulation workers (0 = GOMAXPROCS, 1 = sequential)"},
-	}
-}
-
-// ConfigFromParams maps a validated parameter set onto a Config,
-// building the topology from whichever of the racks/rows/topo/het
-// knobs the surface declares (undeclared ones take uniform defaults).
-// Shape knobs the parameter surface does not expose (tenants per rack,
-// skew) stay at their zero values for the caller to fill before New.
-func ConfigFromParams(p *params.Set) (Config, error) {
-	racks := p.Int("racks")
-	rows, het := 1, "none"
-	if p.Has("rows") {
-		rows = p.Int("rows")
-	}
-	if p.Has("het") {
-		het = p.Str("het")
-	}
-	if p.Has("topo") {
-		// The preset gates the other knobs so `-topo uniform` is always
-		// the legacy single-row fleet regardless of stale -rows/-het.
-		switch p.Str("topo") {
-		case "uniform":
-			rows, het = 1, "none"
-		case "multirow":
-			het = "none"
-		}
-	}
-	t, err := topo.Preset(racks, rows, het)
-	if err != nil {
-		return Config{}, err
-	}
-	cfg := Config{
-		Topo:    t,
-		Workers: p.Int("workers"),
-		Seed:    p.Seed(),
-	}
-	// Only surfaces that declare a ratio knob (the oversub scenario) get
-	// a finite spine; everything else keeps the non-blocking default.
-	if p.Has("ratio") {
-		cfg.Oversub = p.Float("ratio")
-	}
-	return cfg, nil
 }
 
 // Tenant is one pooled-NIC consumer: homed in a rack, currently placed

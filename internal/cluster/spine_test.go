@@ -4,7 +4,6 @@ import (
 	"testing"
 
 	"cxlpool/internal/mem"
-	"cxlpool/internal/params"
 	"cxlpool/internal/spine"
 	"cxlpool/internal/topo"
 	"cxlpool/internal/workload"
@@ -262,21 +261,5 @@ func TestUnlimitedSpineMatchesLegacyRun(t *testing.T) {
 				t.Fatalf("epoch %d rack %d: runs diverged", i, r)
 			}
 		}
-	}
-}
-
-func TestConfigFromParamsReadsRatio(t *testing.T) {
-	p := params.New(
-		params.Spec{Name: "racks", Kind: params.Int, Def: "4"},
-		params.Spec{Name: "workers", Kind: params.Int, Def: "0"},
-		params.Spec{Name: "seed", Kind: params.Int, Def: "42"},
-		params.Spec{Name: "ratio", Kind: params.Float, Def: "4"},
-	)
-	cfg, err := ConfigFromParams(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Oversub != 4 {
-		t.Fatalf("Oversub = %g, want 4 from -ratio", cfg.Oversub)
 	}
 }

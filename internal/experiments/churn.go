@@ -42,8 +42,7 @@ func churnParamSpecs() []params.Spec {
 			Help: "replay this trace file instead of generating (workload knobs above are ignored)"},
 		{Name: "record", Kind: params.String, Def: "",
 			Help: "write the generated schedule to this file for later -trace replay"},
-		{Name: "workers", Kind: params.Int, Def: "0", Min: 0, Max: 1024, Bounded: true,
-			Help: "parallel rack simulation workers (0 = GOMAXPROCS, 1 = sequential)"},
+		workersSpec(),
 	}
 }
 
@@ -114,7 +113,7 @@ func runChurn(_ context.Context, p *params.Set) (*report.Report, error) {
 	if h := tr.Horizon(); h > epochs {
 		epochs = h
 	}
-	base, err := cluster.ConfigFromParams(p)
+	base, err := fleetConfig(p)
 	if err != nil {
 		return nil, err
 	}
@@ -157,16 +156,12 @@ func runChurn(_ context.Context, p *params.Set) (*report.Report, error) {
 		report.StrCol("off>del Gbps"))
 	occupancy := report.Series{Name: "occupancy_vs_epoch", XLabel: "epoch", YLabel: "live tenants"}
 	churnRate := report.Series{Name: "churn_rate_vs_epoch", XLabel: "epoch", YLabel: "arrivals+departures"}
-	for e := 0; e < epochs; e++ {
-		st, err := c.RunEpoch()
-		if err != nil {
-			return nil, err
-		}
-		var off, del float64
-		for i := range c.Racks() {
-			off += st.OfferedGbps[i]
-			del += st.DeliveredGbps[i]
-		}
+	stats, err := c.Run(epochs)
+	if err != nil {
+		return nil, err
+	}
+	for e, st := range stats {
+		off, del := fleetGbps(st)
 		occupancy.Points = append(occupancy.Points, [2]float64{float64(e), float64(st.Live)})
 		churnRate.Points = append(churnRate.Points,
 			[2]float64{float64(e), float64(st.Arrivals + st.Departures)})

@@ -4,48 +4,15 @@ import (
 	"context"
 	"os"
 	"path/filepath"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
-
-	"cxlpool/internal/report"
 )
-
-// runChurnParams renders E17 with the given overrides and returns the
-// full report.
-func runChurnParams(t *testing.T, seed int64, overrides map[string]string) *report.Report {
-	t.Helper()
-	s, ok := Lookup("churn")
-	if !ok {
-		t.Fatal("churn not registered")
-	}
-	p := s.NewParams()
-	if err := p.Set("seed", strconv.FormatInt(seed, 10)); err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, 0, len(overrides))
-	for name := range overrides {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := p.Set(name, overrides[name]); err != nil {
-			t.Fatalf("set %s=%s: %v", name, overrides[name], err)
-		}
-	}
-	rep, err := s.Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
 
 func TestChurnOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	rep := runChurnParams(t, 42, map[string]string{"epochs": "12"})
+	rep := runScenario(t, "churn", 42, map[string]string{"epochs": "12"})
 	out := rep.Text()
 	for _, needle := range []string{
 		"E17: tenant churn", "schedule:", "admission: cached headroom",
@@ -80,7 +47,7 @@ func TestChurnRecordReplayByteIdentity(t *testing.T) {
 		t.Skip("fleet simulation in -short mode")
 	}
 	trace := filepath.Join(t.TempDir(), "recorded.trace")
-	gen := runChurnParams(t, 7, map[string]string{
+	gen := runScenario(t, "churn", 7, map[string]string{
 		"epochs": "10", "arrivals": "bursty", "lifetime": "pareto",
 		"diurnal": "0.5", "record": trace,
 	})
@@ -90,7 +57,7 @@ func TestChurnRecordReplayByteIdentity(t *testing.T) {
 	// Replay under the same seed (the seed also drives the rack
 	// datapath simulation, so it is part of the run's identity — the
 	// trace only replaces the generator).
-	rep := runChurnParams(t, 7, map[string]string{
+	rep := runScenario(t, "churn", 7, map[string]string{
 		"epochs": "10", "trace": trace,
 	})
 	if gen.Text() != rep.Text() {
@@ -104,8 +71,8 @@ func TestChurnWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	a := runChurnParams(t, 42, map[string]string{"workers": "1", "diurnal": "0.4"}).Text()
-	b := runChurnParams(t, 42, map[string]string{"workers": "4", "diurnal": "0.4"}).Text()
+	a := runScenario(t, "churn", 42, map[string]string{"workers": "1", "diurnal": "0.4"}).Text()
+	b := runScenario(t, "churn", 42, map[string]string{"workers": "4", "diurnal": "0.4"}).Text()
 	if a != b {
 		t.Fatal("churn output differs between workers=1 and workers=4")
 	}

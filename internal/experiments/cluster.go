@@ -3,21 +3,34 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"cxlpool/internal/cluster"
 	"cxlpool/internal/params"
 	"cxlpool/internal/report"
 	"cxlpool/internal/runner"
 	"cxlpool/internal/sim"
+	"cxlpool/internal/topo"
 	"cxlpool/internal/torless"
-	"cxlpool/internal/workload"
 )
 
-// clusterParamSpecs is the E14 parameter surface: the cluster package
-// declares its own knobs (racks, workers) and the scenario adopts them
-// unchanged.
-func clusterParamSpecs() []params.Spec { return cluster.ParamSpecs() }
+// clusterParamSpecs is the E14 parameter surface: the original
+// racks/workers knobs plus a topology preset selector and the row and
+// heterogeneity knobs it reads.
+func clusterParamSpecs() []params.Spec {
+	return []params.Spec{
+		{Name: "racks", Kind: params.Int, Def: "4", Min: 2, Max: 64, Bounded: true,
+			Help: "failure-domain (rack) count"},
+		workersSpec(),
+		{Name: "topo", Kind: params.String, Def: "uniform",
+			Enum: []string{"uniform", "multirow", "het"},
+			Help: "topology preset: uniform (one row, identical racks), multirow (-rows rows), het (-rows rows, -het profile)"},
+		{Name: "rows", Kind: params.Int, Def: "1", Min: 1, Max: 16, Bounded: true,
+			Help: "rows for the multirow/het presets (racks split contiguously)"},
+		{Name: "het", Kind: params.String, Def: "mixed",
+			Enum: topo.HetProfiles(),
+			Help: "rack heterogeneity profile for -topo het (odd racks differ)"},
+	}
+}
 
 // runClusterFederation is E14: the paper's pooling argument taken to
 // fleet scale. A federated cluster of racks — each rack a fully
@@ -33,7 +46,7 @@ func runClusterFederation(_ context.Context, p *params.Set) (*report.Report, err
 	if racks < 2 {
 		return nil, fmt.Errorf("experiments: cluster needs >= 2 racks, got %d", racks)
 	}
-	base, err := cluster.ConfigFromParams(p)
+	base, err := fleetConfig(p)
 	if err != nil {
 		return nil, err
 	}
@@ -52,8 +65,6 @@ func runClusterFederation(_ context.Context, p *params.Set) (*report.Report, err
 		c.MigrationCost(0, 1), cfg.TenantState>>20)
 	r.Blank()
 
-	const epochs = 6
-	drainAt, drainRack := 3, 1
 	cols := []report.Column{
 		report.NumCol("epoch"), report.StrCol("hot"),
 		report.NumCol("xmig"), report.NumCol("rep"),
@@ -62,20 +73,11 @@ func runClusterFederation(_ context.Context, p *params.Set) (*report.Report, err
 		cols = append(cols, report.StrCol(fmt.Sprintf("rack%d off>del Gbps", i)))
 	}
 	t := r.AddTable("epochs", cols...)
-	var drainMoved int
-	var drainCost string
-	for e := 0; e < epochs; e++ {
-		if e == drainAt {
-			moved, cost, err := c.DrainRack(drainRack)
-			if err != nil {
-				return nil, err
-			}
-			drainMoved, drainCost = moved, cost.String()
-		}
-		st, err := c.RunEpoch()
-		if err != nil {
-			return nil, err
-		}
+	stats, drainMoved, drainCost, err := drainedRun(c)
+	if err != nil {
+		return nil, err
+	}
+	for e, st := range stats {
 		row := []report.Cell{
 			report.Num(float64(st.Epoch), "%d", st.Epoch),
 			report.Strf("rack%d", st.HotRack),
@@ -139,29 +141,20 @@ func runClusterFederation(_ context.Context, p *params.Set) (*report.Report, err
 	// rack is hot, as the cluster grows. Isolated racks pin hot tenants
 	// to their overloaded home; federation gives them the fleet.
 	r.Line("pooling benefit at rack scale (hot-rack tenant goodput, 4 epochs):")
-	type point struct {
-		racks      int
-		local, fed float64
-	}
 	sizes := []int{2, 3, 4, 6, 8}
-	pts := make([]point, len(sizes))
-	for i, n := range sizes {
-		pts[i].racks = n
-	}
+	// Task 2k is the isolated run at sizes[k] racks, task 2k+1 the
+	// federated one.
+	g := make([]float64, 2*len(sizes))
 	pool := runner.Pool{Workers: workers}
-	if err := pool.ForEach(len(sizes)*2, func(i int) error {
-		// Tasks 2k and 2k+1 share pts[k] but write disjoint fields.
-		n, federate := sizes[i/2], i%2 == 1
-		g, err := hotGoodput(p, n, federate)
-		if err != nil {
-			return err
-		}
-		if federate {
-			pts[i/2].fed = g
-		} else {
-			pts[i/2].local = g
-		}
-		return nil
+	if err := pool.ForEach(len(g), func(i int) error {
+		// The sweep varies exactly one thing — the number of racks
+		// pooled — so its sub-clusters are always the uniform
+		// single-row shape, whatever topology the main run used (a
+		// cloned -rows could otherwise exceed the smallest
+		// sub-cluster's rack count).
+		var err error
+		g[i], err = hotGoodput(p, i%2 == 1, "racks", sizes[i/2], "topo", "uniform")
+		return err
 	}); err != nil {
 		return nil, err
 	}
@@ -169,83 +162,15 @@ func runClusterFederation(_ context.Context, p *params.Set) (*report.Report, err
 		report.NumCol("racks"), report.NumCol("isolated racks"),
 		report.NumCol("federated"), report.NumCol("benefit"))
 	benefit := report.Series{Name: "pooling_benefit_vs_racks", XLabel: "racks", YLabel: "federated/isolated goodput"}
-	for _, pt := range pts {
-		bt.Row(report.Num(float64(pt.racks), "%d", pt.racks),
-			report.Num(pt.local*100, "%.0f%%"),
-			report.Num(pt.fed*100, "%.0f%%"),
-			report.Num(pt.fed/pt.local, "%.2fx"))
-		benefit.Points = append(benefit.Points, [2]float64{float64(pt.racks), pt.fed / pt.local})
+	for k, n := range sizes {
+		local, fed := g[2*k], g[2*k+1]
+		bt.Row(report.Num(float64(n), "%d", n),
+			report.Num(local*100, "%.0f%%"),
+			report.Num(fed*100, "%.0f%%"),
+			report.Num(fed/local, "%.2fx"))
+		benefit.Points = append(benefit.Points, [2]float64{float64(n), fed / local})
 	}
 	r.AddSeries(benefit)
 	r.Line("(isolated racks strand remote slack exactly like unpooled PCIe devices strand NICs)")
 	return r, nil
-}
-
-// clusterShape fills the shared E14 shape onto a params-derived config:
-// 200 Gbps racks (the topology default — two pooled 100G NICs each),
-// six tenants per rack, 12x hotspot dwelling two epochs per rack —
-// hot-rack demand (~390 Gbps offered) overruns one rack but fits the
-// cluster.
-func clusterShape(cfg cluster.Config, federate bool) cluster.Config {
-	cfg.TenantsPerRack = 6
-	cfg.Federate = federate
-	cfg.Skew = workload.RackSkew{HotFactor: 12, Period: 2}
-	return cfg
-}
-
-// hotGoodput runs a fresh cluster of the given size for four epochs
-// and returns delivered/offered for the tenants homed in the racks the
-// hotspot visits. Isolated racks queue hot traffic behind their two
-// saturated NICs; federation hands the excess to remote racks' idle
-// devices.
-func hotGoodput(p *params.Set, racks int, federate bool) (float64, error) {
-	pp := p.Clone()
-	if err := pp.Set("racks", strconv.Itoa(racks)); err != nil {
-		return 0, err
-	}
-	// The benefit sweep varies exactly one thing — the number of racks
-	// pooled — so its sub-clusters are always the uniform single-row
-	// shape, whatever topology the main run used (a cloned -rows could
-	// otherwise exceed the smallest sub-cluster's rack count).
-	if err := pp.Set("topo", "uniform"); err != nil {
-		return 0, err
-	}
-	// The benefit sweep itself already runs points in parallel; each
-	// cluster simulates its racks sequentially.
-	if err := pp.Set("workers", "1"); err != nil {
-		return 0, err
-	}
-	base, err := cluster.ConfigFromParams(pp)
-	if err != nil {
-		return 0, err
-	}
-	cfg := clusterShape(base, federate)
-	// Half-length epochs: the sweep needs ratios, not long steady
-	// state, and it runs ten clusters.
-	cfg.Epoch = sim.Millisecond
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	const epochs = 4
-	hotHomes := map[int]bool{}
-	sk := c.Config().Skew
-	for e := 0; e < epochs; e++ {
-		hotHomes[sk.HotRack(e)] = true
-	}
-	if _, err := c.Run(epochs); err != nil {
-		return 0, err
-	}
-	var offered, delivered uint64
-	for _, t := range c.Tenants() {
-		if hotHomes[t.Home] {
-			o, _ := t.Traffic()
-			offered += o
-			delivered += c.Delivered(t)
-		}
-	}
-	if offered == 0 {
-		return 0, fmt.Errorf("experiments: hot tenants offered no traffic")
-	}
-	return float64(delivered) / float64(offered), nil
 }

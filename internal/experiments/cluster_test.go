@@ -1,37 +1,9 @@
 package experiments
 
 import (
-	"context"
-	"strconv"
 	"strings"
 	"testing"
 )
-
-// runCluster renders the E14 scenario at the given racks/workers.
-func runCluster(t *testing.T, seed int64, racks, workers int) string {
-	t.Helper()
-	s, ok := Lookup("cluster")
-	if !ok {
-		t.Fatal("cluster not registered")
-	}
-	p := s.NewParams()
-	for _, kv := range []struct {
-		name string
-		v    int
-	}{{"racks", racks}, {"workers", workers}} {
-		if err := p.Set(kv.name, strconv.Itoa(kv.v)); err != nil {
-			t.Fatalf("set %s: %v", kv.name, err)
-		}
-	}
-	if err := p.Set("seed", strconv.FormatInt(seed, 10)); err != nil {
-		t.Fatal(err)
-	}
-	rep, err := s.Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep.Text()
-}
 
 func TestClusterFederationOutput(t *testing.T) {
 	if testing.Short() {
@@ -61,8 +33,8 @@ func TestClusterFederationWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-rack sweep in -short mode")
 	}
-	seq := runCluster(t, 42, 4, 1)
-	if got := runCluster(t, 42, 4, 4); got != seq {
+	seq := runScenario(t, "cluster", 42, map[string]string{"racks": "4", "workers": "1"}).Text()
+	if got := runScenario(t, "cluster", 42, map[string]string{"racks": "4", "workers": "4"}).Text(); got != seq {
 		t.Fatalf("workers=4 output diverges from sequential:\nseq:\n%s\npar:\n%s", seq, got)
 	}
 }

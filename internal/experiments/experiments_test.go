@@ -3,8 +3,12 @@ package experiments
 import (
 	"bytes"
 	"context"
+	"sort"
+	"strconv"
 	"strings"
 	"testing"
+
+	"cxlpool/internal/report"
 )
 
 func runExp(t *testing.T, name string) string {
@@ -14,6 +18,36 @@ func runExp(t *testing.T, name string) string {
 		t.Fatalf("%s: %v", name, err)
 	}
 	return buf.String()
+}
+
+// runScenario runs one registered scenario at the given seed with the
+// given parameter overrides, applied in sorted name order, and returns
+// its report.
+func runScenario(t *testing.T, name string, seed int64, overrides map[string]string) *report.Report {
+	t.Helper()
+	s, ok := Lookup(name)
+	if !ok {
+		t.Fatalf("%s not registered", name)
+	}
+	p := s.NewParams()
+	if err := p.Set("seed", strconv.FormatInt(seed, 10)); err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(overrides))
+	for n := range overrides {
+		names = append(names, n)
+	}
+	sort.Strings(names)
+	for _, n := range names {
+		if err := p.Set(n, overrides[n]); err != nil {
+			t.Fatalf("set %s=%s: %v", n, overrides[n], err)
+		}
+	}
+	rep, err := s.Run(context.Background(), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rep
 }
 
 func TestRegistryComplete(t *testing.T) {

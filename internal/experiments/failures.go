@@ -43,8 +43,7 @@ func failuresParamSpecs() []params.Spec {
 			Help: "random: expected strikes/epoch fleet-wide; bernoulli: per-rack per-epoch kill probability"},
 		{Name: "duration", Kind: params.Int, Def: "3", Min: 1, Max: 50, Bounded: true,
 			Help: "scripted fault duration / random max duration, epochs"},
-		{Name: "workers", Kind: params.Int, Def: "0", Min: 0, Max: 1024, Bounded: true,
-			Help: "parallel rack simulation workers (0 = GOMAXPROCS, 1 = sequential)"},
+		workersSpec(),
 	}
 }
 
@@ -136,14 +135,14 @@ func failureSchedule(p *params.Set, classes []faults.Class, pdus, hosts int) (*f
 func runFailures(_ context.Context, p *params.Set) (*report.Report, error) {
 	racks, epochs := p.Int("racks"), p.Int("epochs")
 	rate := p.Float("rate")
-	if rate < 0 || rate > float64(racks) {
+	if !(rate >= 0 && rate <= float64(racks)) {
 		return nil, fmt.Errorf("experiments: failures -rate %g outside 0..racks", rate)
 	}
 	classes, err := failureClasses(p.Str("class"))
 	if err != nil {
 		return nil, err
 	}
-	base, err := cluster.ConfigFromParams(p)
+	base, err := fleetConfig(p)
 	if err != nil {
 		return nil, err
 	}
@@ -245,16 +244,12 @@ func runFailures(_ context.Context, p *params.Set) (*report.Report, error) {
 	var baseSum, queueSum float64
 	var baseN, totalActs, peakQueue int
 	minGoodput := 1.0
-	for e := 0; e < epochs; e++ {
-		st, err := c.RunEpoch()
-		if err != nil {
-			return nil, err
-		}
-		var off, del float64
-		for i := range c.Racks() {
-			off += st.OfferedGbps[i]
-			del += st.DeliveredGbps[i]
-		}
+	stats, err := c.Run(epochs)
+	if err != nil {
+		return nil, err
+	}
+	for e, st := range stats {
+		off, del := fleetGbps(st)
 		g := 0.0
 		if off > 0 {
 			g = del / off

@@ -3,43 +3,12 @@ package experiments
 import (
 	"context"
 	"math"
-	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
 	"cxlpool/internal/report"
 	"cxlpool/internal/torless"
 )
-
-// runFailuresParams renders E16 with the given overrides and returns
-// the full report (tests read its scalars as well as its text).
-func runFailuresParams(t *testing.T, seed int64, overrides map[string]string) *report.Report {
-	t.Helper()
-	s, ok := Lookup("failures")
-	if !ok {
-		t.Fatal("failures not registered")
-	}
-	p := s.NewParams()
-	if err := p.Set("seed", strconv.FormatInt(seed, 10)); err != nil {
-		t.Fatal(err)
-	}
-	names := make([]string, 0, len(overrides))
-	for name := range overrides {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := p.Set(name, overrides[name]); err != nil {
-			t.Fatalf("set %s=%s: %v", name, overrides[name], err)
-		}
-	}
-	rep, err := s.Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
 
 // scalar finds a named scalar in the report.
 func scalar(t *testing.T, rep *report.Report, name string) float64 {
@@ -57,7 +26,7 @@ func TestFailuresOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	rep := runFailuresParams(t, 42, nil)
+	rep := runScenario(t, "failures", 42, nil)
 	out := rep.Text()
 	for _, needle := range []string{
 		"E16: failure injection", "scripted/rackkill", "policy on",
@@ -89,7 +58,7 @@ func TestFailuresSimulatedOutageMatchesSchedule(t *testing.T) {
 		{"policy": "off"},
 		{"sched": "bernoulli", "rate": "0.15", "epochs": "20"},
 	} {
-		rep := runFailuresParams(t, 42, overrides)
+		rep := runScenario(t, "failures", 42, overrides)
 		sim := scalar(t, rep, "availability.simulated_outage")
 		analytic := scalar(t, rep, "availability.schedule_analytic_outage")
 		if sim != analytic {
@@ -106,7 +75,7 @@ func TestFailuresAllClassesRun(t *testing.T) {
 	all := []string{"rackkill", "rowkill", "flapnic", "slowcxl", "brownout",
 		"pdufail", "cracfail", "hostkill"}
 	for _, class := range append(all, "mix") {
-		rep := runFailuresParams(t, 42, map[string]string{"class": class})
+		rep := runScenario(t, "failures", 42, map[string]string{"class": class})
 		if rep.Text() == "" {
 			t.Errorf("class %s produced no output", class)
 		}
@@ -140,7 +109,7 @@ func TestFailuresPinnedPreCrewFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	def := runFailuresParams(t, 42, nil)
+	def := runScenario(t, "failures", 42, nil)
 	pinScalar(t, def, "mttr.rackkill.epochs", 1)
 	pinScalar(t, def, "availability.simulated_outage", 1.0/12)
 	pinScalar(t, def, "availability.simulated", 11.0/12)
@@ -153,18 +122,18 @@ func TestFailuresPinnedPreCrewFigures(t *testing.T) {
 	pinScalar(t, def, "fleet.wait.total_epochs", 0)
 	pinScalar(t, def, "policy.throttled", 0)
 
-	off := runFailuresParams(t, 42, map[string]string{"policy": "off"})
+	off := runScenario(t, "failures", 42, map[string]string{"policy": "off"})
 	pinScalar(t, off, "mttr.rackkill.epochs", 3)
 	pinScalar(t, off, "replacement.moves", 0)
 	pinScalar(t, off, "availability.simulated_outage", 1.0/12)
 
-	row := runFailuresParams(t, 42, map[string]string{"class": "rowkill"})
+	row := runScenario(t, "failures", 42, map[string]string{"class": "rowkill"})
 	pinScalar(t, row, "mttr.rowkill.epochs", 1)
 	pinScalar(t, row, "replacement.moves", 18)
 	pinScalar(t, row, "availability.simulated_outage", 0.125)
 
 	for _, class := range []string{"slowcxl", "flapnic"} {
-		rep := runFailuresParams(t, 42, map[string]string{"class": class})
+		rep := runScenario(t, "failures", 42, map[string]string{"class": class})
 		pinScalar(t, rep, "mttr."+class+".epochs", 1)
 		pinScalar(t, rep, "replacement.moves", 0)
 		pinScalar(t, rep, "availability.simulated_outage", 0)
@@ -178,8 +147,8 @@ func TestFailuresCrewsQueueRepairs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	free := runFailuresParams(t, 42, map[string]string{"class": "mix"})
-	one := runFailuresParams(t, 42, map[string]string{"class": "mix", "crews": "1"})
+	free := runScenario(t, "failures", 42, map[string]string{"class": "mix"})
+	one := runScenario(t, "failures", 42, map[string]string{"class": "mix", "crews": "1"})
 	if scalar(t, free, "fleet.wait.total_epochs") != 0 {
 		t.Error("unlimited crews recorded waiting time")
 	}
@@ -207,7 +176,7 @@ func TestFailuresPolicySweepTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	rep := runFailuresParams(t, 42, nil)
+	rep := runScenario(t, "failures", 42, nil)
 	offAvail := scalar(t, rep, "sweep.off.availability")
 	unlAvail := scalar(t, rep, "sweep.unlimited.availability")
 	if offAvail > unlAvail {
@@ -232,8 +201,8 @@ func TestFailuresPolicyCutsMTTR(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	on := runFailuresParams(t, 42, nil)
-	off := runFailuresParams(t, 42, map[string]string{"policy": "off"})
+	on := runScenario(t, "failures", 42, nil)
+	off := runScenario(t, "failures", 42, map[string]string{"policy": "off"})
 	mOn := scalar(t, on, "mttr.rackkill.epochs")
 	mOff := scalar(t, off, "mttr.rackkill.epochs")
 	if mOn >= mOff {
@@ -252,8 +221,8 @@ func TestFailuresWorkerDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	a := runFailuresParams(t, 42, map[string]string{"workers": "1", "class": "mix"}).Text()
-	b := runFailuresParams(t, 42, map[string]string{"workers": "4", "class": "mix"}).Text()
+	a := runScenario(t, "failures", 42, map[string]string{"workers": "1", "class": "mix"}).Text()
+	b := runScenario(t, "failures", 42, map[string]string{"workers": "4", "class": "mix"}).Text()
 	if a != b {
 		t.Fatal("failures output differs between workers=1 and workers=4")
 	}
@@ -294,7 +263,7 @@ func TestFailuresBernoulliConvergesToAnalytic(t *testing.T) {
 	var sum float64
 	const seeds = 8
 	for seed := int64(1); seed <= seeds; seed++ {
-		rep := runFailuresParams(t, seed, map[string]string{
+		rep := runScenario(t, "failures", seed, map[string]string{
 			"sched": "bernoulli", "policy": "off",
 			"racks": "4", "rows": "1", "epochs": "30",
 			"rate": "0.1",

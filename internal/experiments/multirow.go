@@ -11,9 +11,11 @@ import (
 	"cxlpool/internal/torless"
 )
 
-// multirowParamSpecs is the E15 parameter surface, declared by the
-// cluster package alongside its preset builder.
-func multirowParamSpecs() []params.Spec { return cluster.MultiRowParamSpecs() }
+// multirowParamSpecs is the E15 parameter surface: the E14 knobs with
+// multi-row defaults and no preset indirection.
+func multirowParamSpecs() []params.Spec {
+	return append(rowSpecs("8"), workersSpec())
+}
 
 // runMultiRow is E15: the declarative topology API exercised at fleet
 // shape. A multi-row (optionally heterogeneous) cluster absorbs the
@@ -29,7 +31,7 @@ func runMultiRow(_ context.Context, p *params.Set) (*report.Report, error) {
 	if racks < 2 {
 		return nil, fmt.Errorf("experiments: multirow needs >= 2 racks, got %d", racks)
 	}
-	base, err := cluster.ConfigFromParams(p)
+	base, err := fleetConfig(p)
 	if err != nil {
 		return nil, err
 	}
@@ -58,15 +60,11 @@ func runMultiRow(_ context.Context, p *params.Set) (*report.Report, error) {
 		}
 	}
 	fabric := fmt.Sprintf("fabric: %v", c.IntraRackTier())
-	if sameRowPeer > 0 {
-		pth := t.RackPath(0, sameRowPeer)
-		fabric += fmt.Sprintf("; %v (%d hops, migration %v)",
-			c.InterRackTier(0, sameRowPeer), pth.Hops, c.MigrationCost(0, sameRowPeer))
-	}
-	if crossRowPeer > 0 {
-		pth := t.RackPath(0, crossRowPeer)
-		fabric += fmt.Sprintf("; %v (%d hops, migration %v)",
-			c.InterRackTier(0, crossRowPeer), pth.Hops, c.MigrationCost(0, crossRowPeer))
+	for _, j := range []int{sameRowPeer, crossRowPeer} {
+		if j > 0 {
+			fabric += fmt.Sprintf("; %v (%d hops, migration %v)",
+				c.InterRackTier(0, j), t.RackPath(0, j).Hops, c.MigrationCost(0, j))
+		}
 	}
 	r.Line(fabric)
 	r.Blank()
@@ -88,8 +86,6 @@ func runMultiRow(_ context.Context, p *params.Set) (*report.Report, error) {
 
 	// Epoch loop with a mid-run rack drain, reported per row (per-rack
 	// columns would not fit an 8-rack fleet).
-	const epochs = 6
-	drainAt, drainRack := 3, 1
 	cols := []report.Column{
 		report.NumCol("epoch"), report.StrCol("hot"),
 		report.StrCol("mig s/x"), report.NumCol("rep"),
@@ -98,21 +94,12 @@ func runMultiRow(_ context.Context, p *params.Set) (*report.Report, error) {
 		cols = append(cols, report.StrCol(fmt.Sprintf("row%d off>del Gbps", i)))
 	}
 	et := r.AddTable("epochs", cols...)
-	var drainMoved int
-	var drainCost sim.Duration
+	stats, drainMoved, drainCost, err := drainedRun(c)
+	if err != nil {
+		return nil, err
+	}
 	var offered, delivered float64
-	for e := 0; e < epochs; e++ {
-		if e == drainAt {
-			moved, cost, err := c.DrainRack(drainRack)
-			if err != nil {
-				return nil, err
-			}
-			drainMoved, drainCost = moved, cost
-		}
-		st, err := c.RunEpoch()
-		if err != nil {
-			return nil, err
-		}
+	for e, st := range stats {
 		row := []report.Cell{
 			report.Num(float64(st.Epoch), "%d", st.Epoch),
 			report.Strf("rack%d", st.HotRack),
@@ -138,6 +125,8 @@ func runMultiRow(_ context.Context, p *params.Set) (*report.Report, error) {
 			row = append(row, report.Strf("%4.0f>%4.0f (p=%.2f)", off, del, p))
 		}
 		et.Row(row...)
+		// Run-wide totals add rack by rack, not fleetGbps's epoch sums:
+		// testdata/multirow_seed7.json pins this summation order.
 		for i := range c.Racks() {
 			offered += st.OfferedGbps[i]
 			delivered += st.DeliveredGbps[i]

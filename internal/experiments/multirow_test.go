@@ -2,42 +2,16 @@ package experiments
 
 import (
 	"context"
-	"sort"
 	"strconv"
 	"strings"
 	"testing"
 )
 
-// runMultirowParams renders E15 with the given overrides.
-func runMultirowParams(t *testing.T, overrides map[string]string) string {
-	t.Helper()
-	s, ok := Lookup("multirow")
-	if !ok {
-		t.Fatal("multirow not registered")
-	}
-	p := s.NewParams()
-	names := make([]string, 0, len(overrides))
-	for name := range overrides {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		if err := p.Set(name, overrides[name]); err != nil {
-			t.Fatalf("set %s=%s: %v", name, overrides[name], err)
-		}
-	}
-	rep, err := s.Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep.Text()
-}
-
 func TestMultiRowOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	out := runMultirowParams(t, nil) // 8 racks in 2 rows
+	out := runScenario(t, "multirow", 42, nil).Text() // 8 racks in 2 rows
 	for _, needle := range []string{
 		"multi-row fleet", "8 racks in 2 rows", "inter-rack (spine)",
 		"cross-row (core)", "same-row", "rack drain", "availability",
@@ -60,7 +34,7 @@ func TestMultiRowTightRowsSpillCrossRow(t *testing.T) {
 	}
 	// Two racks per row: the hot rack's 12x demand overruns its whole
 	// row, forcing moves across the core tier.
-	out := runMultirowParams(t, map[string]string{"rows": "4"})
+	out := runScenario(t, "multirow", 42, map[string]string{"rows": "4"}).Text()
 	if strings.Contains(out, "cross-row=0 ") {
 		t.Errorf("tight rows never migrated cross-row:\n%s", out)
 	}
@@ -70,7 +44,7 @@ func TestMultiRowHeterogeneousRacks(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	out := runMultirowParams(t, map[string]string{"het": "mixed"})
+	out := runScenario(t, "multirow", 42, map[string]string{"het": "mixed"}).Text()
 	// Mixed fleets show both rack shapes and the 40G uplink bottleneck
 	// (4 x 5 GB/s) in the spine tier.
 	for _, needle := range []string{"heterogeneity: mixed", "20.0 GB/s", "120", "200"} {
@@ -86,7 +60,7 @@ func TestMultiRowWorkerDeterminism(t *testing.T) {
 		t.Skip("fleet simulation in -short mode")
 	}
 	render := func(workers int) string {
-		return runMultirowParams(t, map[string]string{"workers": strconv.Itoa(workers)})
+		return runScenario(t, "multirow", 42, map[string]string{"workers": strconv.Itoa(workers)}).Text()
 	}
 	seq := render(1)
 	if got := render(4); got != seq {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"strconv"
 
 	"cxlpool/internal/cluster"
 	"cxlpool/internal/params"
@@ -15,21 +14,14 @@ import (
 // oversubParamSpecs is the E18 parameter surface: the E14 fleet shape
 // plus the spine oversubscription ratio the study sweeps.
 func oversubParamSpecs() []params.Spec {
-	return []params.Spec{
-		{Name: "racks", Kind: params.Int, Def: "6", Min: 2, Max: 64, Bounded: true,
-			Help: "total rack count (split contiguously across rows)"},
-		{Name: "rows", Kind: params.Int, Def: "2", Min: 1, Max: 16, Bounded: true,
-			Help: "row count (a row is one spine domain of racks)"},
-		{Name: "het", Kind: params.String, Def: "none",
-			Enum: []string{"none", "nic", "devices", "mixed"},
-			Help: "rack heterogeneity profile (odd racks differ)"},
-		{Name: "ratio", Kind: params.Float, Def: "4",
+	return append(rowSpecs("6"),
+		params.Spec{Name: "ratio", Kind: params.Float, Def: "4",
 			Help: "spine oversubscription ratio for the main run: uplink capacity = pooled aggregate / ratio (0 = non-blocking)"},
-		{Name: "epochs", Kind: params.Int, Def: "6", Min: 1, Max: 64, Bounded: true,
+		params.Spec{Name: "epochs", Kind: params.Int, Def: "6", Min: 1, Max: 64, Bounded: true,
 			Help: "epochs to simulate in the main run"},
-		{Name: "workers", Kind: params.Int, Def: "0", Min: 0, Max: 1024, Bounded: true,
+		params.Spec{Name: "workers", Kind: params.Int, Def: "0", Min: 0, Max: 1024, Bounded: true,
 			Help: "parallel workers for the ratio sweep (0 = GOMAXPROCS, 1 = sequential)"},
-	}
+	)
 }
 
 // runOversub is E18: the pooling argument under a fabric that pushes
@@ -49,10 +41,10 @@ func runOversub(_ context.Context, p *params.Set) (*report.Report, error) {
 	if racks < 2 {
 		return nil, fmt.Errorf("experiments: oversub needs >= 2 racks, got %d", racks)
 	}
-	if ratio < 0 || ratio > 64 {
+	if !(ratio >= 0 && ratio <= 64) {
 		return nil, fmt.Errorf("experiments: oversub ratio must be in [0,64], got %g", ratio)
 	}
-	base, err := cluster.ConfigFromParams(p)
+	base, err := fleetConfig(p)
 	if err != nil {
 		return nil, err
 	}
@@ -80,16 +72,12 @@ func runOversub(_ context.Context, p *params.Set) (*report.Report, error) {
 		report.NumCol("xmig"), report.NumCol("throttled"),
 		report.NumCol("max util"), report.NumCol("queued Gbps"),
 		report.StrCol("fleet off>del Gbps"))
-	for e := 0; e < epochs; e++ {
-		st, err := c.RunEpoch()
-		if err != nil {
-			return nil, err
-		}
-		var off, del float64
-		for i := 0; i < nDomains; i++ {
-			off += st.OfferedGbps[i]
-			del += st.DeliveredGbps[i]
-		}
+	stats, err := c.Run(epochs)
+	if err != nil {
+		return nil, err
+	}
+	for _, st := range stats {
+		off, del := fleetGbps(st)
 		et.Row(
 			report.Num(float64(st.Epoch), "%d", st.Epoch),
 			report.Strf("rack%d", st.HotRack),
@@ -134,27 +122,22 @@ func runOversub(_ context.Context, p *params.Set) (*report.Report, error) {
 	// computed once; each federated point pays the ratio's contention.
 	r.Line("pooling benefit vs oversubscription (hot-rack tenant goodput, 4 epochs):")
 	ratios := []float64{0, 1, 2, 4, 8}
-	fed := make([]float64, len(ratios))
-	var isolated float64
+	// Task i < len(ratios) is the federated run at ratios[i]; the last
+	// task is the isolated baseline.
+	g := make([]float64, len(ratios)+1)
 	pool := runner.Pool{Workers: workers}
-	if err := pool.ForEach(len(ratios)+1, func(i int) error {
+	if err := pool.ForEach(len(g), func(i int) error {
+		var err error
 		if i == len(ratios) {
-			g, err := oversubGoodput(p, 0, false)
-			if err != nil {
-				return err
-			}
-			isolated = g
-			return nil
+			g[i], err = hotGoodput(p, false, "ratio", 0)
+		} else {
+			g[i], err = hotGoodput(p, true, "ratio", ratios[i])
 		}
-		g, err := oversubGoodput(p, ratios[i], true)
-		if err != nil {
-			return err
-		}
-		fed[i] = g
-		return nil
+		return err
 	}); err != nil {
 		return nil, err
 	}
+	fed, isolated := g[:len(ratios)], g[len(ratios)]
 	bt := r.AddTable("pooling_benefit",
 		report.StrCol("oversub"), report.NumCol("isolated racks"),
 		report.NumCol("federated"), report.NumCol("benefit"))
@@ -174,49 +157,4 @@ func runOversub(_ context.Context, p *params.Set) (*report.Report, error) {
 	r.AddSeries(series)
 	r.Line("(full bisection keeps the federation benefit; oversubscription hands it back link by link)")
 	return r, nil
-}
-
-// oversubGoodput runs a fresh E14-shaped fleet at the given spine
-// ratio for four epochs and returns delivered/offered for the tenants
-// homed in the racks the hotspot visits. Sub-clusters simulate their
-// racks sequentially — the ratio sweep itself is the parallel axis.
-func oversubGoodput(p *params.Set, ratio float64, federate bool) (float64, error) {
-	pp := p.Clone()
-	if err := pp.Set("workers", "1"); err != nil {
-		return 0, err
-	}
-	if err := pp.Set("ratio", strconv.FormatFloat(ratio, 'g', -1, 64)); err != nil {
-		return 0, err
-	}
-	base, err := cluster.ConfigFromParams(pp)
-	if err != nil {
-		return 0, err
-	}
-	cfg := clusterShape(base, federate)
-	cfg.Epoch = sim.Millisecond
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return 0, err
-	}
-	const epochs = 4
-	hotHomes := map[int]bool{}
-	sk := c.Config().Skew
-	for e := 0; e < epochs; e++ {
-		hotHomes[sk.HotRack(e)] = true
-	}
-	if _, err := c.Run(epochs); err != nil {
-		return 0, err
-	}
-	var offered, delivered uint64
-	for _, t := range c.Tenants() {
-		if hotHomes[t.Home] {
-			o, _ := t.Traffic()
-			offered += o
-			delivered += c.Delivered(t)
-		}
-	}
-	if offered == 0 {
-		return 0, fmt.Errorf("experiments: hot tenants offered no traffic")
-	}
-	return float64(delivered) / float64(offered), nil
 }

@@ -1,39 +1,11 @@
 package experiments
 
 import (
-	"context"
-	"strconv"
 	"strings"
 	"testing"
 
 	"cxlpool/internal/report"
 )
-
-// runOversubParams renders E18 with the given overrides and returns
-// the full report.
-func runOversubParams(t *testing.T, seed int64, overrides map[string]string) *report.Report {
-	t.Helper()
-	s, ok := Lookup("oversub")
-	if !ok {
-		t.Fatal("oversub not registered")
-	}
-	p := s.NewParams()
-	if err := p.Set("seed", strconv.FormatInt(seed, 10)); err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"racks", "rows", "het", "ratio", "epochs", "workers"} {
-		if v, ok := overrides[name]; ok {
-			if err := p.Set(name, v); err != nil {
-				t.Fatalf("set %s=%s: %v", name, v, err)
-			}
-		}
-	}
-	rep, err := s.Run(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return rep
-}
 
 func oversubSeries(t *testing.T, rep *report.Report) report.Series {
 	t.Helper()
@@ -50,7 +22,7 @@ func TestOversubOutput(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	rep := runOversubParams(t, 42, map[string]string{"epochs": "4"})
+	rep := runScenario(t, "oversub", 42, map[string]string{"epochs": "4"})
 	out := rep.Text()
 	for _, needle := range []string{
 		"E18: spine oversubscription", "ratio 4:1",
@@ -70,7 +42,7 @@ func TestOversubBenefitCurveBends(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	rep := runOversubParams(t, 42, map[string]string{"epochs": "1"})
+	rep := runScenario(t, "oversub", 42, map[string]string{"epochs": "1"})
 	s := oversubSeries(t, rep)
 	if len(s.Points) != 5 {
 		t.Fatalf("series has %d points, want 5 (ratios 0,1,2,4,8)", len(s.Points))
@@ -102,8 +74,8 @@ func TestOversubWorkerInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
 	}
-	seq := runOversubParams(t, 42, map[string]string{"epochs": "2", "workers": "1"}).Text()
-	par := runOversubParams(t, 42, map[string]string{"epochs": "2", "workers": "4"}).Text()
+	seq := runScenario(t, "oversub", 42, map[string]string{"epochs": "2", "workers": "1"}).Text()
+	par := runScenario(t, "oversub", 42, map[string]string{"epochs": "2", "workers": "4"}).Text()
 	if seq != par {
 		t.Fatalf("oversub output differs across worker counts:\n--- workers=1\n%s\n--- workers=4\n%s", seq, par)
 	}

@@ -15,6 +15,7 @@ package faults
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 
 	"cxlpool/internal/sim"
@@ -431,8 +432,9 @@ func Random(cfg RandomConfig) (*Schedule, error) {
 	if cfg.Epochs <= 0 || cfg.Racks <= 0 || cfg.Rows <= 0 {
 		return nil, fmt.Errorf("%w: random schedule needs epochs/racks/rows > 0", ErrInvalid)
 	}
-	if cfg.Rate < 0 {
-		return nil, fmt.Errorf("%w: negative rate %g", ErrInvalid, cfg.Rate)
+	// Written so NaN fails it; +Inf would never count down to zero.
+	if !(cfg.Rate >= 0) || math.IsInf(cfg.Rate, 1) {
+		return nil, fmt.Errorf("%w: rate %g must be finite and >= 0", ErrInvalid, cfg.Rate)
 	}
 	classes := cfg.Classes
 	if len(classes) == 0 {
@@ -521,7 +523,7 @@ func Bernoulli(epochs, racks int, p float64, seed int64) (*Schedule, error) {
 	if epochs <= 0 || racks <= 0 {
 		return nil, fmt.Errorf("%w: bernoulli schedule needs epochs/racks > 0", ErrInvalid)
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) {
 		return nil, fmt.Errorf("%w: kill probability %g outside [0,1]", ErrInvalid, p)
 	}
 	rng := sim.NewRand(seed*2862933555777941757 + 3037000493)

@@ -2,6 +2,7 @@ package faults
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -223,6 +224,23 @@ func TestBernoulliStationaryFraction(t *testing.T) {
 	}
 	if _, err := Bernoulli(10, 4, 1.5, 1); !errors.Is(err, ErrInvalid) {
 		t.Fatal("p > 1 accepted")
+	}
+}
+
+func TestScheduleRatesRejectNonFinite(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		rate float64
+	}{
+		{"negative", -1}, {"NaN", math.NaN()}, {"+Inf", math.Inf(1)}, {"-Inf", math.Inf(-1)},
+	} {
+		cfg := RandomConfig{Epochs: 4, Racks: 4, Rows: 1, Rate: tc.rate, Seed: 1}
+		if _, err := Random(cfg); !errors.Is(err, ErrInvalid) {
+			t.Errorf("Random(rate %s) = %v, want ErrInvalid", tc.name, err)
+		}
+		if _, err := Bernoulli(4, 4, tc.rate, 1); !errors.Is(err, ErrInvalid) {
+			t.Errorf("Bernoulli(p %s) = %v, want ErrInvalid", tc.name, err)
+		}
 	}
 }
 

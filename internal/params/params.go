@@ -17,6 +17,7 @@ package params
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -108,8 +109,14 @@ func (s Spec) validate(value string) error {
 			return badParamf("params: -%s=%d out of range %d..%d", s.Name, n, s.Min, s.Max)
 		}
 	case Float:
-		if _, err := strconv.ParseFloat(value, 64); err != nil {
+		f, err := strconv.ParseFloat(value, 64)
+		if err != nil {
 			return badParamf("params: -%s=%q is not a number", s.Name, value)
+		}
+		// NaN and ±Inf parse, but no knob means them: NaN slips past
+		// every range check downstream.
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return badParamf("params: -%s=%q is not finite", s.Name, value)
 		}
 	case String:
 		if len(s.Enum) > 0 {

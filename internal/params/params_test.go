@@ -1,6 +1,7 @@
 package params
 
 import (
+	"errors"
 	"strings"
 	"testing"
 )
@@ -32,14 +33,21 @@ func TestDefaultsAndTypedAccess(t *testing.T) {
 
 func TestValidation(t *testing.T) {
 	s := New(intSpec("racks", "4", 2, 64),
+		Spec{Name: "ratio", Kind: Float, Def: "4", Help: "r"},
 		Spec{Name: "payload", Kind: String, Def: "all", Enum: []string{"75", "all"}, Help: "p"})
 	for _, bad := range []struct{ name, v string }{
 		{"racks", "1"}, {"racks", "65"}, {"racks", "four"},
+		{"ratio", "four"}, {"ratio", "1e309"},
+		{"ratio", "NaN"}, {"ratio", "nan"}, {"ratio", "Inf"}, {"ratio", "+Inf"},
+		{"ratio", "-Inf"}, {"ratio", "infinity"},
 		{"payload", "76"}, {"nonsense", "1"},
 	} {
-		if err := s.Set(bad.name, bad.v); err == nil {
-			t.Errorf("Set(%s, %s) accepted", bad.name, bad.v)
+		if err := s.Set(bad.name, bad.v); !errors.Is(err, ErrBadParam) {
+			t.Errorf("Set(%s, %s) = %v, want ErrBadParam", bad.name, bad.v, err)
 		}
+	}
+	if got := s.Float("ratio"); got != 4 {
+		t.Fatalf("rejected sets changed ratio to %g", got)
 	}
 	if err := s.Set("racks", "8"); err != nil {
 		t.Fatalf("valid set rejected: %v", err)
