@@ -141,7 +141,7 @@ func hotGoodput(p *params.Set, federate bool, overrides ...any) (float64, error)
 	}
 	cfg := clusterShape(base, federate)
 	// Half-length epochs: the sweeps need ratios, not long steady
-	// state, and each runs ten or so clusters.
+	// state, and each runs several clusters.
 	cfg.Epoch = sim.Millisecond
 	c, err := cluster.New(cfg)
 	if err != nil {
