@@ -391,6 +391,7 @@ func TestPodConfigValidation(t *testing.T) {
 		{Devices: 1, PortsPerDevice: 0, DeviceSize: 1 << 20},
 		{Devices: 1, PortsPerDevice: 99, DeviceSize: 1 << 20},
 		{Devices: 1, PortsPerDevice: 4, DeviceSize: 0},
+		{Devices: 2, PortsPerDevice: 4, DeviceSize: 1<<20 + 100}, // not whole stripes
 		{Devices: 1, PortsPerDevice: 4, DeviceSize: 1 << 20, SharedSize: 1 << 21},
 	}
 	for i, cfg := range bad {

@@ -133,3 +133,62 @@ func TestDCDQuotaUnlimitedByDefault(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// Sanitize addresses pool media through the pod's store, so it needs no
+// attached host, and it zeroes exactly the range asked for: the
+// neighbouring bytes on every device keep their contents.
+func TestPodSanitizeBeforeAttach(t *testing.T) {
+	const devices, devSize = 3, 1 << 16
+	p, err := NewPod("san", PodConfig{Devices: devices, PortsPerDevice: 2, DeviceSize: devSize}, sim.NewRand(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := make([]byte, devSize)
+	for i := range dirty {
+		dirty[i] = 0xAB
+	}
+	for _, d := range p.Devices() {
+		if err := d.Media().Poke(d.Base(), dirty); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Unaligned at both ends, across stripes, devices and a 64 KiB
+	// store chunk boundary.
+	const from, n = 1000, 70000
+	base := p.Devices()[0].Base()
+	if err := p.Sanitize(base+from, n); err != nil {
+		t.Fatalf("sanitize before any attach: %v", err)
+	}
+	want := func(off int) byte {
+		if off >= from && off < from+n {
+			return 0
+		}
+		return 0xAB
+	}
+	pool := make([]byte, devices*devSize)
+	poolPeek(t, p, 0, pool)
+	for off, b := range pool {
+		if b != want(off) {
+			t.Fatalf("pool byte %d = %#x, want %#x", off, b, want(off))
+		}
+	}
+	// A host attached afterwards reads the same through its interleave.
+	a, err := p.AttachHost("A")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Memory().ReadAt(0, base, pool); err != nil {
+		t.Fatal(err)
+	}
+	for off, b := range pool {
+		if b != want(off) {
+			t.Fatalf("interleaved read of pool byte %d = %#x, want %#x", off, b, want(off))
+		}
+	}
+	if err := p.Sanitize(base+devices*devSize-10, 11); !errors.Is(err, mem.ErrOutOfRange) {
+		t.Fatalf("sanitize past the pool: err = %v", err)
+	}
+	if err := p.Sanitize(base-1, 2); !errors.Is(err, mem.ErrOutOfRange) {
+		t.Fatalf("sanitize below the pool: err = %v", err)
+	}
+}

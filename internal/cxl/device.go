@@ -25,6 +25,13 @@ var (
 type Link struct {
 	cfg    LinkConfig
 	propag sim.Duration // per-crossing propagation/flit latency
+	// bps is the bandwidth in bytes per second, float64(bandwidth)*1e9,
+	// and xfer64/xfer256 the transfer times of a 64 B request flit and a
+	// 256 B interleave stripe. They are computed once, by the same float
+	// operations mem.GBps performs, so every result has the same bits.
+	bps     float64
+	xfer64  sim.Duration
+	xfer256 sim.Duration
 	// Fluid queues per direction (see mem.Region.access for why fluid).
 	backlogTx float64
 	backlogRx float64
@@ -42,7 +49,14 @@ func NewLink(cfg LinkConfig, propagation sim.Duration) *Link {
 	if cfg.Lanes <= 0 {
 		panic("cxl: link with no lanes")
 	}
-	return &Link{cfg: cfg, propag: propagation}
+	bw := cfg.Bandwidth()
+	return &Link{
+		cfg:     cfg,
+		propag:  propagation,
+		bps:     float64(bw) * 1e9,
+		xfer64:  bw.TransferTime(mem.CachelineSize),
+		xfer256: bw.TransferTime(InterleaveGranularity),
+	}
 }
 
 // Config returns the link shape.
@@ -54,17 +68,31 @@ func (l *Link) BytesMoved() (tx, rx uint64) { return l.bytesTx, l.bytesRx }
 // CongestionEvents returns how many transfers had to queue.
 func (l *Link) CongestionEvents() uint64 { return l.congested }
 
+// transferTime is mem.GBps.TransferTime at the link's bandwidth.
+func (l *Link) transferTime(n int) sim.Duration {
+	switch {
+	case n == mem.CachelineSize:
+		return l.xfer64
+	case n == InterleaveGranularity:
+		return l.xfer256
+	case n <= 0:
+		return 0
+	}
+	return sim.Duration(float64(n) / l.bps * 1e9)
+}
+
 // fluid advances a fluid queue and returns the queueing delay for a new
 // transfer of n bytes at time now.
-func fluid(backlog *float64, drain *sim.Time, bw mem.GBps, now sim.Time, n int) sim.Duration {
+func (l *Link) fluid(backlog *float64, drain *sim.Time, now sim.Time, n int) sim.Duration {
 	if now > *drain {
-		*backlog -= float64(bw.Bytes(now - *drain))
+		// mem.GBps.Bytes at the link's bandwidth.
+		*backlog -= float64(int64(l.bps * float64(now-*drain) / 1e9))
 		if *backlog < 0 {
 			*backlog = 0
 		}
 		*drain = now
 	}
-	q := bw.TransferTime(int(*backlog))
+	q := l.transferTime(int(*backlog))
 	*backlog += float64(n)
 	return q
 }
@@ -72,24 +100,22 @@ func fluid(backlog *float64, drain *sim.Time, bw mem.GBps, now sim.Time, n int) 
 // sendTime serializes n bytes in the host→device direction starting at
 // now and returns the added delay (queueing + serialization + propagation).
 func (l *Link) sendTime(now sim.Time, n int) sim.Duration {
-	bw := l.cfg.Bandwidth()
-	q := fluid(&l.backlogTx, &l.drainTx, bw, now, n)
+	q := l.fluid(&l.backlogTx, &l.drainTx, now, n)
 	if q > 0 {
 		l.congested++
 	}
 	l.bytesTx += uint64(n)
-	return q + bw.TransferTime(n) + l.propag
+	return q + l.transferTime(n) + l.propag
 }
 
 // recvTime serializes n bytes in the device→host direction.
 func (l *Link) recvTime(now sim.Time, n int) sim.Duration {
-	bw := l.cfg.Bandwidth()
-	q := fluid(&l.backlogRx, &l.drainRx, bw, now, n)
+	q := l.fluid(&l.backlogRx, &l.drainRx, now, n)
 	if q > 0 {
 		l.congested++
 	}
 	l.bytesRx += uint64(n)
-	return q + bw.TransferTime(n) + l.propag
+	return q + l.transferTime(n) + l.propag
 }
 
 // MHD is a multi-headed CXL memory device: one media region exposed
@@ -120,17 +146,24 @@ func (d *MHD) Failed() bool { return d.failed }
 // NewMHD creates an MHD with size bytes of media and the given port
 // count, based at base in the shared pool address map.
 func NewMHD(name string, base mem.Address, size, ports int, rng *sim.Rand) *MHD {
+	return newMHD(name, mem.NewRegion(name+"/media", base, size, mediaTiming, rng), ports)
+}
+
+// mediaTiming is the timing of MHD media.
+var mediaTiming = mem.Timing{
+	ReadLatency:  CXLIdleReadLatency,
+	WriteLatency: CXLIdleWriteLatency,
+	// Media bandwidth is typically provisioned to match aggregate
+	// port bandwidth; per-port links are the binding constraint.
+	Bandwidth: 0,
+	Jitter:    12, // controller scheduling noise, keeps CDFs realistic
+}
+
+// newMHD creates an MHD over an existing media region.
+func newMHD(name string, media *mem.Region, ports int) *MHD {
 	if ports <= 0 || ports > MaxMHDPorts {
 		panic(fmt.Sprintf("cxl: MHD %q with invalid port count %d (1..%d)", name, ports, MaxMHDPorts))
 	}
-	media := mem.NewRegion(name+"/media", base, size, mem.Timing{
-		ReadLatency:  CXLIdleReadLatency,
-		WriteLatency: CXLIdleWriteLatency,
-		// Media bandwidth is typically provisioned to match aggregate
-		// port bandwidth; per-port links are the binding constraint.
-		Bandwidth: 0,
-		Jitter:    12, // controller scheduling noise, keeps CDFs realistic
-	}, rng)
 	return &MHD{
 		name:  name,
 		media: media,
@@ -201,9 +234,6 @@ type PortView struct {
 	port     int
 	link     *Link
 	detached bool
-	// extra is additional fixed latency per access, used to model a CXL
-	// switch on the path (SwitchedView).
-	extra sim.Duration
 }
 
 // Device returns the underlying MHD.
@@ -247,7 +277,7 @@ func (v *PortView) ReadAt(now sim.Time, a mem.Address, buf []byte) (sim.Duration
 	}
 	d += md
 	d += v.link.recvTime(now+d, len(buf))
-	return d + v.extra, nil
+	return d, nil
 }
 
 // WriteAt writes through the port (posted write: data crosses the link,
@@ -264,7 +294,7 @@ func (v *PortView) WriteAt(now sim.Time, a mem.Address, buf []byte) (sim.Duratio
 	if err != nil {
 		return 0, err
 	}
-	return d + md + v.extra, nil
+	return d + md, nil
 }
 
 var _ mem.Memory = (*PortView)(nil)

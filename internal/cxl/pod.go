@@ -20,6 +20,9 @@ type Pod struct {
 	hosts   map[string]*Attachment
 	order   []string // attachment order, for deterministic iteration
 
+	// store holds every device's media in pool order (see NewPod).
+	store *mem.Store
+
 	// Pool-wide dynamic-capacity allocator (DCD-style, §3 footnote 2):
 	// hosts allocate and release pool memory at runtime.
 	alloc *mem.Allocator
@@ -77,8 +80,9 @@ func NewPod(name string, cfg PodConfig, rng *sim.Rand) (*Pod, error) {
 	if cfg.PortsPerDevice <= 0 || cfg.PortsPerDevice > MaxMHDPorts {
 		return nil, fmt.Errorf("cxl: invalid ports per device %d", cfg.PortsPerDevice)
 	}
-	if cfg.DeviceSize <= 0 {
-		return nil, errors.New("cxl: pod device size must be positive")
+	if cfg.DeviceSize <= 0 || cfg.DeviceSize%InterleaveGranularity != 0 {
+		return nil, fmt.Errorf("cxl: pod device size %d must be a positive multiple of %d",
+			cfg.DeviceSize, InterleaveGranularity)
 	}
 	if cfg.SharedSize < 0 || cfg.SharedSize > cfg.DeviceSize {
 		return nil, errors.New("cxl: shared size must fit within the first device")
@@ -92,11 +96,17 @@ func NewPod(name string, cfg PodConfig, rng *sim.Rand) (*Pod, error) {
 		hosts: make(map[string]*Attachment),
 	}
 	// Map devices contiguously starting at a recognizable pool base.
+	// Every host interleaves the whole pool across its device links at
+	// 256 B, so the media is stored in that order: pool offset off is
+	// store offset off, whichever device holds it, and an interleaved
+	// access moves its bytes with one copy.
 	const poolBase mem.Address = 0x4000_0000_0000
+	p.store = mem.NewStore(cfg.Devices, cfg.DeviceSize, InterleaveGranularity)
 	for i := 0; i < cfg.Devices; i++ {
+		devName := fmt.Sprintf("%s/mhd%d", name, i)
 		base := poolBase + mem.Address(i*cfg.DeviceSize)
-		p.devices = append(p.devices, NewMHD(
-			fmt.Sprintf("%s/mhd%d", name, i), base, cfg.DeviceSize, cfg.PortsPerDevice, rng))
+		media := p.store.Region(i, devName+"/media", base, mediaTiming, rng)
+		p.devices = append(p.devices, newMHD(devName, media, cfg.PortsPerDevice))
 	}
 	p.sharedBase = poolBase
 	p.sharedSize = cfg.SharedSize
@@ -245,9 +255,8 @@ func (a *Attachment) Alloc(size int) (mem.Address, error) {
 	if err != nil {
 		return 0, fmt.Errorf("%w: %v", ErrPoolExceeded, err)
 	}
-	// Sanitize: the media behind [addr, addr+size) is zeroed through
-	// the interleave translation so every stripe lands on the right
-	// device.
+	// Sanitize: the media behind [addr, addr+size) is zeroed before
+	// handover.
 	rounded := int(mem.AlignUp(mem.Address(size)))
 	if err := a.pod.sanitize(addr, rounded); err != nil {
 		_ = a.pod.alloc.Free(addr)
@@ -276,35 +285,18 @@ func (p *Pod) Sanitize(addr mem.Address, size int) error {
 }
 
 // sanitize zeroes pool media without timing (a background controller
-// operation completed before the capacity is handed to the host).
-// Pieces are clipped to interleave-stripe boundaries: translate maps a
-// single address to one member, and a range crossing a stripe edge
-// would land the tail bytes on the wrong device-local addresses. Media
-// that was never written already reads as zero and is left untouched.
+// operation completed before the capacity is handed to the host). The
+// store holds the pool in pool order, so this is one range of it, and
+// no host's interleave is needed to address it. Media that was never
+// written already reads as zero and is left untouched.
 func (p *Pod) sanitize(addr mem.Address, size int) error {
-	// Use any attachment's interleave translation; media is shared. If
-	// no host is attached yet the allocator cannot be reached either,
-	// so an attachment always exists here.
-	for _, h := range p.order {
-		a := p.hosts[h]
-		off := 0
-		for off < size {
-			cur := addr + mem.Address(off)
-			n := size - off
-			if stripeLeft := InterleaveGranularity - int(cur%InterleaveGranularity); n > stripeLeft {
-				n = stripeLeft
-			}
-			m, local := a.interleave.translate(cur)
-			if pv, ok := m.(*PortView); ok {
-				if err := pv.Device().Media().Zero(local, n); err != nil {
-					return err
-				}
-			}
-			off += n
-		}
-		return nil
+	base := p.devices[0].Base()
+	if addr < base || size < 0 || uint64(addr-base)+uint64(size) > uint64(p.store.Size()) {
+		return fmt.Errorf("%w: sanitize [%#x,+%d) outside pod %s",
+			mem.ErrOutOfRange, uint64(addr), size, p.name)
 	}
-	return errors.New("cxl: sanitize with no attached hosts")
+	p.store.Zero(int(addr-base), size)
+	return nil
 }
 
 // Free returns dynamic capacity to the pool.

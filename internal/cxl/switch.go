@@ -107,6 +107,16 @@ var _ mem.Memory = (*SwitchedView)(nil)
 // the maximum of the parts (they proceed in parallel on distinct links),
 // which is how hardware interleaving behaves for a single demand access
 // stream.
+//
+// A pod's interleave takes a faster path to the same result. The pod
+// stores its devices' media in pool order (one mem.Store striped at
+// 256 B, see NewPod), so the bytes of an access are one contiguous copy
+// in the store, and the walk over the stripes only does timing: per
+// stripe, the member link's fluid queues and the media's Account, in
+// the same order, with the same float operations, RNG draws and counters
+// as the per-member split. Any other interleave, and any access that
+// touches a detached port or a failed device, takes the split, so every
+// error surfaces exactly as before.
 type Interleave struct {
 	members []mem.Memory
 	// memberBase[i] is where member i's slice of the range begins in its
@@ -115,13 +125,20 @@ type Interleave struct {
 	memberBase []mem.Address
 	base       mem.Address
 	size       int
+
+	// store holds the media of views, members 0..n-1 in this order,
+	// striped at InterleaveGranularity: byte off of the range sits at
+	// store offset off. Both are nil unless every member is a PortView
+	// laid out so.
+	store *mem.Store
+	views []*PortView
 }
 
 // NewInterleave builds an interleave set over [base, base+size) backed by
 // the given members. Members see the same global addresses; they are
 // expected to be PortViews of MHDs that each cover the whole range (the
 // usual "one MHD, many links" layout) or distinct devices mapped modulo
-// stripes. For distinct-device layouts use NewStripedDevices instead.
+// stripes. For distinct-device layouts use NewInterleaveAt instead.
 func NewInterleave(base mem.Address, size int, members ...mem.Memory) *Interleave {
 	if len(members) == 0 {
 		panic("cxl: interleave with no members")
@@ -130,7 +147,7 @@ func NewInterleave(base mem.Address, size int, members ...mem.Memory) *Interleav
 	for i := range bases {
 		bases[i] = base
 	}
-	return &Interleave{members: members, memberBase: bases, base: base, size: size}
+	return newInterleave(base, size, members, bases)
 }
 
 // NewInterleaveAt builds an interleave whose members sit at distinct
@@ -139,7 +156,32 @@ func NewInterleaveAt(base mem.Address, size int, members []mem.Memory, memberBas
 	if len(members) == 0 || len(members) != len(memberBases) {
 		panic("cxl: interleave members/bases mismatch")
 	}
-	return &Interleave{members: members, memberBase: memberBases, base: base, size: size}
+	return newInterleave(base, size, members, memberBases)
+}
+
+func newInterleave(base mem.Address, size int, members []mem.Memory, memberBases []mem.Address) *Interleave {
+	iv := &Interleave{members: members, memberBase: memberBases, base: base, size: size}
+	views := make([]*PortView, len(members))
+	var store *mem.Store
+	for i, m := range members {
+		v, ok := m.(*PortView)
+		if !ok {
+			return iv
+		}
+		s, idx := v.dev.media.Store()
+		if i == 0 {
+			store = s
+		}
+		if s != store || idx != i || v.dev.media.Base() != memberBases[i] {
+			return iv
+		}
+		views[i] = v
+	}
+	if store.Members() != len(members) || store.Granularity() != InterleaveGranularity || size > store.Size() {
+		return iv
+	}
+	iv.store, iv.views = store, views
+	return iv
 }
 
 // Contains reports whether the interleave range covers [a, a+size).
@@ -186,11 +228,68 @@ func (iv *Interleave) split(a mem.Address, buf []byte, f func(m mem.Memory, a me
 	return maxD, nil
 }
 
+// stored reports whether an access of n bytes at a can take the store
+// path: the interleave is store-backed and every member the access
+// touches is attached and working.
+func (iv *Interleave) stored(a mem.Address, n int) bool {
+	if iv.store == nil {
+		return false
+	}
+	off := int(a - iv.base)
+	first := off / InterleaveGranularity
+	touched := min((off+n-1)/InterleaveGranularity-first+1, len(iv.views))
+	for i, m := 0, first%len(iv.views); i < touched; i++ {
+		if v := iv.views[m]; v.detached || v.dev.failed {
+			return false
+		}
+		if m++; m == len(iv.views) {
+			m = 0
+		}
+	}
+	return true
+}
+
+// stripeTimes is the timing of an n-byte access at a on the store path:
+// each stripe is timed exactly as PortView.ReadAt or WriteAt times it,
+// in stripe order, and the slowest stripe sets the latency.
+func (iv *Interleave) stripeTimes(now sim.Time, a mem.Address, n int, write bool) sim.Duration {
+	off := int(a - iv.base)
+	m := off / InterleaveGranularity % len(iv.views)
+	k := InterleaveGranularity - off%InterleaveGranularity
+	var maxD sim.Duration
+	for n > 0 {
+		k = min(k, n)
+		v := iv.views[m]
+		var d sim.Duration
+		if write {
+			d = v.link.sendTime(now, k)
+			d += v.dev.media.Account(now+d, k, true)
+		} else {
+			d = v.link.sendTime(now, mem.CachelineSize)
+			d += v.dev.media.Account(now+d, k, false)
+			d += v.link.recvTime(now+d, k)
+		}
+		if d > maxD {
+			maxD = d
+		}
+		n -= k
+		k = InterleaveGranularity
+		if m++; m == len(iv.views) {
+			m = 0
+		}
+	}
+	return maxD
+}
+
 // ReadAt reads, striping across members; parallel parts overlap so the
 // returned latency is the slowest part.
 func (iv *Interleave) ReadAt(now sim.Time, a mem.Address, buf []byte) (sim.Duration, error) {
 	if !iv.Contains(a, len(buf)) {
 		return 0, fmt.Errorf("%w: interleave read [%#x,+%d)", mem.ErrOutOfRange, uint64(a), len(buf))
+	}
+	if iv.stored(a, len(buf)) {
+		iv.store.CopyOut(int(a-iv.base), buf)
+		return iv.stripeTimes(now, a, len(buf), false), nil
 	}
 	return iv.split(a, buf, func(m mem.Memory, a mem.Address, part []byte) (sim.Duration, error) {
 		return m.ReadAt(now, a, part)
@@ -201,6 +300,10 @@ func (iv *Interleave) ReadAt(now sim.Time, a mem.Address, buf []byte) (sim.Durat
 func (iv *Interleave) WriteAt(now sim.Time, a mem.Address, buf []byte) (sim.Duration, error) {
 	if !iv.Contains(a, len(buf)) {
 		return 0, fmt.Errorf("%w: interleave write [%#x,+%d)", mem.ErrOutOfRange, uint64(a), len(buf))
+	}
+	if iv.stored(a, len(buf)) {
+		iv.store.CopyIn(int(a-iv.base), buf)
+		return iv.stripeTimes(now, a, len(buf), true), nil
 	}
 	return iv.split(a, buf, func(m mem.Memory, a mem.Address, part []byte) (sim.Duration, error) {
 		return m.WriteAt(now, a, part)

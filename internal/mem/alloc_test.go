@@ -222,7 +222,7 @@ func TestRegionZeroSkipsMissingChunks(t *testing.T) {
 	if err := r.Zero(from, n); err != nil {
 		t.Fatal(err)
 	}
-	if r.chunks[1] != nil {
+	if r.store.chunks[1] != nil {
 		t.Fatal("Zero materialized a chunk that was never written")
 	}
 	got := make([]byte, r.Size())
@@ -245,8 +245,8 @@ func TestRegionZeroSkipsMissingChunks(t *testing.T) {
 		}
 	}
 	// A range over only the missing chunk leaves it missing.
-	if err := r.Zero(r.Base()+chunkBytes, chunkBytes); err != nil || r.chunks[1] != nil {
-		t.Fatalf("Zero of an unwritten chunk: err %v, materialized %v", err, r.chunks[1] != nil)
+	if err := r.Zero(r.Base()+chunkBytes, chunkBytes); err != nil || r.store.chunks[1] != nil {
+		t.Fatalf("Zero of an unwritten chunk: err %v, materialized %v", err, r.store.chunks[1] != nil)
 	}
 	if err := r.Zero(r.End()-10, 11); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("Zero past the end: err = %v", err)

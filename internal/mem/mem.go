@@ -10,7 +10,17 @@
 // Timing and data are deliberately coupled: every read and write both
 // moves bytes and returns the simulated latency the access took, so
 // higher layers cannot accidentally account time without moving data or
-// vice versa.
+// vice versa. The one exception is Region.Account, the timing half of an
+// access, for a caller that has already moved the bytes through the
+// region's Store.
+//
+// A Region's bytes live in a Store: sparse 64 KiB chunks holding the
+// bytes of n equal-size member regions interleaved at g bytes, so byte
+// off of member m sits at store offset ((off/g)*n+m)*g + off%g. A
+// standalone Region is the only member of its own store. A CXL pod
+// stripes its devices' media into one store in the order the CPU
+// interleaves the pool, so a pool access of any length is one contiguous
+// copy in the store (see cxl.Interleave).
 package mem
 
 import (
@@ -92,6 +102,129 @@ const chunkShift = 16
 
 const chunkBytes = 1 << chunkShift
 
+// Store is the sparse backing of n equal-size member regions whose bytes
+// are interleaved at a granularity of g bytes: byte off of member m sits
+// at store offset ((off/g)*n+m)*g + off%g. With n == 1 that is the
+// identity, which is how a standalone Region is stored.
+//
+// A Store is not safe for concurrent use.
+type Store struct {
+	members    int
+	memberSize int
+	gran       int
+	size       int
+	// chunks is the chunk index: chunk i covers store bytes
+	// [i<<chunkShift, (i+1)<<chunkShift) and is allocated on first
+	// write. The index itself is allocated on the first write to the
+	// store, so a store nobody writes costs one small struct. Unwritten
+	// ranges read as zero, exactly like an eager zero-filled array.
+	chunks [][]byte
+}
+
+// NewStore returns an empty store for members regions of memberSize
+// bytes each, interleaved at granularity bytes. memberSize must be a
+// multiple of granularity, so every member holds whole stripes.
+func NewStore(members, memberSize, granularity int) *Store {
+	if members <= 0 || memberSize <= 0 || granularity <= 0 || memberSize%granularity != 0 {
+		panic(fmt.Sprintf("mem: store of %d members of %d bytes at granularity %d",
+			members, memberSize, granularity))
+	}
+	return &Store{members: members, memberSize: memberSize, gran: granularity, size: members * memberSize}
+}
+
+// Members returns the number of member regions.
+func (s *Store) Members() int { return s.members }
+
+// Granularity returns the interleave granularity in bytes.
+func (s *Store) Granularity() int { return s.gran }
+
+// Size returns the store's total size, all members together.
+func (s *Store) Size() int { return s.size }
+
+// Region returns member m of the store as a Region named name at base.
+// Each member is a Region of its own: its own timing, jitter source,
+// bandwidth queue and counters over the shared bytes.
+func (s *Store) Region(m int, name string, base Address, t Timing, rng *sim.Rand) *Region {
+	if m < 0 || m >= s.members {
+		panic(fmt.Sprintf("mem: region %q is member %d of a %d-member store", name, m, s.members))
+	}
+	return &Region{name: name, base: base, size: s.memberSize, store: s, member: m, timing: t, rng: rng}
+}
+
+// check panics unless [off, off+n) lies inside the store.
+func (s *Store) check(off, n int) {
+	if off < 0 || n < 0 || off+n > s.size {
+		panic(fmt.Sprintf("mem: store access [%d,+%d) outside [0,%d)", off, n, s.size))
+	}
+}
+
+// chunkLen returns the byte length of chunk ci (the last chunk may be
+// short).
+func (s *Store) chunkLen(ci int) int {
+	if n := s.size - ci<<chunkShift; n < chunkBytes {
+		return n
+	}
+	return chunkBytes
+}
+
+// CopyOut copies store bytes [off, off+len(buf)) into buf, reading zeros
+// where nothing was written. It panics if the range leaves the store.
+func (s *Store) CopyOut(off int, buf []byte) {
+	s.check(off, len(buf))
+	for len(buf) > 0 {
+		ci, co := off>>chunkShift, off&(chunkBytes-1)
+		n := min(chunkBytes-co, len(buf))
+		if s.chunks != nil && s.chunks[ci] != nil {
+			copy(buf[:n], s.chunks[ci][co:])
+		} else {
+			clear(buf[:n])
+		}
+		buf = buf[n:]
+		off += n
+	}
+}
+
+// CopyIn copies buf into the store at off, materializing chunks on first
+// touch. It panics if the range leaves the store.
+func (s *Store) CopyIn(off int, buf []byte) {
+	s.check(off, len(buf))
+	if s.chunks == nil && len(buf) > 0 {
+		s.chunks = make([][]byte, (s.size+chunkBytes-1)>>chunkShift)
+	}
+	for len(buf) > 0 {
+		ci, co := off>>chunkShift, off&(chunkBytes-1)
+		n := min(chunkBytes-co, len(buf))
+		c := s.chunks[ci]
+		if c == nil {
+			c = make([]byte, s.chunkLen(ci))
+			s.chunks[ci] = c
+		}
+		copy(c[co:], buf[:n])
+		buf = buf[n:]
+		off += n
+	}
+}
+
+// Zero clears store bytes [off, off+n). A chunk that was never written
+// already reads as zero, so only chunks that exist are touched: zeroing
+// media nobody wrote allocates nothing. It panics if the range leaves
+// the store.
+func (s *Store) Zero(off, n int) {
+	s.check(off, n)
+	if s.chunks == nil {
+		return
+	}
+	for n > 0 {
+		ci, co := off>>chunkShift, off&(chunkBytes-1)
+		m := min(chunkBytes-co, n)
+		if c := s.chunks[ci]; c != nil {
+			clear(c[co : co+m])
+		}
+		off += m
+		n -= m
+	}
+}
+
 // Region is a contiguous simulated memory range with timing.
 //
 // A Region is not safe for concurrent use; the discrete-event engine is
@@ -100,11 +233,9 @@ type Region struct {
 	name string
 	base Address
 	size int
-	// chunks is the sparse backing store: chunk i covers bytes
-	// [i<<chunkShift, (i+1)<<chunkShift) of the region and is allocated
-	// on first write. Unwritten ranges read as zero, exactly like the
-	// eager zero-filled array they replace.
-	chunks [][]byte
+	// store holds the bytes; the region is member number member of it.
+	store  *Store
+	member int
 	timing Timing
 	rng    *sim.Rand
 
@@ -125,69 +256,45 @@ type Region struct {
 	queueingDelayNs uint64
 }
 
-// NewRegion creates a region of size bytes at base with the given timing.
-// rng may be nil when Timing.Jitter is zero.
+// NewRegion creates a region of size bytes at base with the given timing,
+// as the only member of a store of its own. rng may be nil when
+// Timing.Jitter is zero.
 func NewRegion(name string, base Address, size int, t Timing, rng *sim.Rand) *Region {
 	if size <= 0 {
 		panic(fmt.Sprintf("mem: region %q with non-positive size %d", name, size))
 	}
-	return &Region{
-		name:   name,
-		base:   base,
-		size:   size,
-		chunks: make([][]byte, (size+chunkBytes-1)>>chunkShift),
-		timing: t,
-		rng:    rng,
-	}
+	return NewStore(1, size, size).Region(0, name, base, t, rng)
 }
 
-// chunkLen returns the byte length of chunk ci (the last chunk may be
-// short).
-func (r *Region) chunkLen(ci int) int {
-	if n := r.size - ci<<chunkShift; n < chunkBytes {
-		return n
-	}
-	return chunkBytes
+// Store returns the store that holds the region's bytes and the region's
+// member index in it.
+func (r *Region) Store() (*Store, int) { return r.store, r.member }
+
+// stripe maps region offset off to its store offset and returns how many
+// of the next n bytes stay contiguous in the store from there.
+func (r *Region) stripe(off, n int) (pos, k int) {
+	s := r.store
+	within := off % s.gran
+	return ((off/s.gran)*s.members+r.member)*s.gran + within, min(s.gran-within, n)
 }
 
-// copyOut copies [off, off+len(buf)) of the region into buf, reading
-// zeros from unallocated chunks.
+// copyOut copies [off, off+len(buf)) of the region into buf.
 func (r *Region) copyOut(off int, buf []byte) {
 	for len(buf) > 0 {
-		ci, co := off>>chunkShift, off&(chunkBytes-1)
-		n := chunkBytes - co
-		if n > len(buf) {
-			n = len(buf)
-		}
-		if c := r.chunks[ci]; c != nil {
-			copy(buf[:n], c[co:])
-		} else {
-			for i := range buf[:n] {
-				buf[i] = 0
-			}
-		}
-		buf = buf[n:]
-		off += n
+		pos, k := r.stripe(off, len(buf))
+		r.store.CopyOut(pos, buf[:k])
+		buf = buf[k:]
+		off += k
 	}
 }
 
-// copyIn copies buf into the region at off, materializing chunks on
-// first touch.
+// copyIn copies buf into the region at off.
 func (r *Region) copyIn(off int, buf []byte) {
 	for len(buf) > 0 {
-		ci, co := off>>chunkShift, off&(chunkBytes-1)
-		n := chunkBytes - co
-		if n > len(buf) {
-			n = len(buf)
-		}
-		c := r.chunks[ci]
-		if c == nil {
-			c = make([]byte, r.chunkLen(ci))
-			r.chunks[ci] = c
-		}
-		copy(c[co:], buf[:n])
-		buf = buf[n:]
-		off += n
+		pos, k := r.stripe(off, len(buf))
+		r.store.CopyIn(pos, buf[:k])
+		buf = buf[k:]
+		off += k
 	}
 }
 
@@ -255,6 +362,22 @@ func (r *Region) access(now sim.Time, n int, idle sim.Duration) sim.Duration {
 	return queue + idle + xfer + r.jitter()
 }
 
+// Account is the timing half of an access of n bytes at simulated time
+// now, without moving any data: it bumps the same counters and returns
+// the same latency, jitter draw included, as a ReadAt (write false) or
+// WriteAt (write true) of n bytes. It is for callers that move the
+// bytes themselves through the region's Store.
+func (r *Region) Account(now sim.Time, n int, write bool) sim.Duration {
+	if write {
+		r.writes++
+		r.bytesWritten += uint64(n)
+		return r.access(now, n, r.timing.WriteLatency)
+	}
+	r.reads++
+	r.bytesRead += uint64(n)
+	return r.access(now, n, r.timing.ReadLatency)
+}
+
 // ReadAt copies len(buf) bytes at address a into buf and returns the
 // simulated latency of the access.
 func (r *Region) ReadAt(now sim.Time, a Address, buf []byte) (sim.Duration, error) {
@@ -263,9 +386,7 @@ func (r *Region) ReadAt(now sim.Time, a Address, buf []byte) (sim.Duration, erro
 			ErrOutOfRange, uint64(a), len(buf), r.name, uint64(r.base), uint64(r.End()))
 	}
 	r.copyOut(int(a-r.base), buf)
-	r.reads++
-	r.bytesRead += uint64(len(buf))
-	return r.access(now, len(buf), r.timing.ReadLatency), nil
+	return r.Account(now, len(buf), false), nil
 }
 
 // WriteAt copies buf to address a and returns the simulated latency.
@@ -275,9 +396,7 @@ func (r *Region) WriteAt(now sim.Time, a Address, buf []byte) (sim.Duration, err
 			ErrOutOfRange, uint64(a), len(buf), r.name, uint64(r.base), uint64(r.End()))
 	}
 	r.copyIn(int(a-r.base), buf)
-	r.writes++
-	r.bytesWritten += uint64(len(buf))
-	return r.access(now, len(buf), r.timing.WriteLatency), nil
+	return r.Account(now, len(buf), true), nil
 }
 
 // Peek reads bytes without advancing timing. It is for assertions and
@@ -299,21 +418,17 @@ func (r *Region) Poke(a Address, buf []byte) error {
 	return nil
 }
 
-// Zero clears [a, a+n) without timing, like a Poke of zeroes. A chunk
-// that was never written already reads as zero, so only chunks that
-// exist are touched: zeroing media nobody wrote allocates nothing.
+// Zero clears [a, a+n) without timing, like a Poke of zeroes, touching
+// only chunks that exist (see Store.Zero).
 func (r *Region) Zero(a Address, n int) error {
 	if !r.Contains(a, n) {
 		return ErrOutOfRange
 	}
 	for off := int(a - r.base); n > 0; {
-		ci, co := off>>chunkShift, off&(chunkBytes-1)
-		m := min(chunkBytes-co, n)
-		if c := r.chunks[ci]; c != nil {
-			clear(c[co : co+m])
-		}
-		off += m
-		n -= m
+		pos, k := r.stripe(off, n)
+		r.store.Zero(pos, k)
+		off += k
+		n -= k
 	}
 	return nil
 }

@@ -73,8 +73,8 @@ trap 'rm -f "$RAW"' EXIT
 # The curated set: artifact-level regenerations at the root, kernel
 # stress in internal/sim, packer scaling in internal/stranding, the
 # rack-scale federation and multi-row fleet cycles, fleet construction,
-# the cache's jumbo-buffer coherence range operations, and one tenant
-# vNIC bind/unbind. Every benchmark runs one fixed input on every
+# the cache's jumbo-buffer coherence range operations, one tenant vNIC
+# bind/unbind, and an 8 KiB interleaved read and write of pod memory. Every benchmark runs one fixed input on every
 # iteration, so a 1x smoke run and a 1s run measure the same work and
 # their allocs/op compare like for like.
 go test -run='^$' -bench='Figure2Stranding|Figure2XL|SqrtNPooling|Figure4PingPong|ToRless|AllExperiments|ClusterFederation|MultiRow|FailuresScenario|FailuresCorrelated|ChurnAdmission|SpineContention|ClusterNew' \
@@ -83,6 +83,7 @@ go test -run='^$' -bench=. -benchmem -benchtime="$BENCHTIME" ./internal/sim/ | t
 go test -run='^$' -bench='PackCluster2000|PackCluster20k' -benchmem -benchtime="$BENCHTIME" ./internal/stranding/ | tee -a "$RAW"
 go test -run='^$' -bench='NTStoreJumbo|ReadStreamJumbo' -benchmem -benchtime="$BENCHTIME" ./internal/cache/ | tee -a "$RAW"
 go test -run='^$' -bench='VNICBindUnbind' -benchmem -benchtime="$BENCHTIME" ./internal/core/ | tee -a "$RAW"
+go test -run='^$' -bench='Interleave8KRead|Interleave8KWrite' -benchmem -benchtime="$BENCHTIME" ./internal/cxl/ | tee -a "$RAW"
 
 awk -v date="$DATE" -v benchtime="$BENCHTIME" '
 BEGIN { n = 0 }
