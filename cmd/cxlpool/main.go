@@ -12,7 +12,8 @@
 // Every scenario's flags are generated from its parameter
 // declarations (`cxlpool help` prints them all); `-seed` and `-format
 // {text,json,csv}` work everywhere, and `-workers` bounds the worker
-// pool for `all`, `sweep`, and any scenario that declares it. Text
+// pool for `all`, `sweep`, and any scenario that declares it;
+// `-cpuprofile FILE` writes a pprof CPU profile of the run. Text
 // output is a deterministic rendering of the structured report: a
 // given seed produces byte-identical bytes at any worker count.
 package main
@@ -25,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 	"strings"
 
 	"cxlpool/internal/experiments"
@@ -70,6 +72,7 @@ func usage(w io.Writer) {
 	fmt.Fprintln(w, "  -format {text,json,csv}  output format (default text)")
 	fmt.Fprintln(w, "  -workers W               parallel workers for all/sweep (0 = GOMAXPROCS,")
 	fmt.Fprintln(w, "                           1 = sequential); output bytes never depend on W")
+	fmt.Fprintln(w, "  -cpuprofile FILE         write a pprof CPU profile of the run to FILE")
 	fmt.Fprintln(w)
 	fmt.Fprintln(w, "scenarios:")
 	for _, s := range experiments.All() {
@@ -88,8 +91,41 @@ func writeList(w io.Writer) {
 }
 
 func fatalf(code int, format string, args ...any) {
+	stopCPUProfile()
 	fmt.Fprintf(os.Stderr, format+"\n", args...)
 	os.Exit(code)
+}
+
+// stopCPUProfile ends the -cpuprofile run started by startCPUProfile;
+// fatalf calls it too, so a failing run still leaves its profile.
+var stopCPUProfile = func() {}
+
+// cpuProfileFlag declares -cpuprofile on a command's flag set.
+func cpuProfileFlag(fs *flag.FlagSet) *string {
+	return fs.String("cpuprofile", "", "write a pprof CPU profile of the run to `FILE`")
+}
+
+// startCPUProfile starts profiling into path (nothing when empty).
+// Real clocks stay in cmd/: profiling is the simulator's host cost,
+// never part of a simulated result.
+func startCPUProfile(path string) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		fatalf(1, "cxlpool: cpuprofile: %v", err)
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		fatalf(1, "cxlpool: cpuprofile: %v", err)
+	}
+	stopCPUProfile = func() {
+		pprof.StopCPUProfile()
+		if err := f.Close(); err != nil {
+			fmt.Fprintf(os.Stderr, "cxlpool: cpuprofile: %v\n", err)
+		}
+	}
 }
 
 // checkFormat validates -format.
@@ -115,10 +151,13 @@ func runAll(args []string) {
 	seed := fs.Int64("seed", 42, "simulation seed")
 	workers := fs.Int("workers", 0, "parallel workers (0 = GOMAXPROCS, 1 = sequential)")
 	format := fs.String("format", "text", "output format: text, json, or csv")
+	cpuprofile := cpuProfileFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
 	checkFormat(*format)
+	startCPUProfile(*cpuprofile)
+	defer stopCPUProfile()
 	switch *format {
 	case "text":
 		if err := experiments.RunAll(os.Stdout, *seed, *workers); err != nil {
@@ -167,6 +206,7 @@ func runOne(name string, args []string) {
 		vals[i] = fs.String(sp.Name, sp.Def, sp.Help)
 	}
 	format := fs.String("format", "text", "output format: text, json, or csv")
+	cpuprofile := cpuProfileFlag(fs)
 	if err := fs.Parse(args); err != nil {
 		os.Exit(2)
 	}
@@ -176,6 +216,8 @@ func runOne(name string, args []string) {
 			fatalf(2, "cxlpool: %s: %v", name, err)
 		}
 	}
+	startCPUProfile(*cpuprofile)
+	defer stopCPUProfile()
 	rep, err := s.Run(context.Background(), p)
 	if err != nil {
 		fatalf(1, "cxlpool: %s: %v", name, err)
@@ -228,6 +270,7 @@ func runSweep(args []string) {
 	seed := fs.Int64("seed", 42, "simulation seed")
 	workers := fs.Int("workers", 0, "parallel workers across sweep points")
 	format := fs.String("format", "text", "output format: text, json, or csv")
+	cpuprofile := cpuProfileFlag(fs)
 	if err := fs.Parse(args[1:]); err != nil {
 		os.Exit(2)
 	}
@@ -251,6 +294,8 @@ func runSweep(args []string) {
 	if err := base.Set("seed", fmt.Sprint(*seed)); err != nil {
 		fatalf(2, "cxlpool: sweep: %v", err)
 	}
+	startCPUProfile(*cpuprofile)
+	defer stopCPUProfile()
 	pts, err := experiments.Sweep(context.Background(), s, base, axes, *workers)
 	if err != nil {
 		// Validation errors (unknown axis, out-of-range value, duplicate

@@ -2,6 +2,10 @@ package main
 
 import (
 	"bytes"
+	"compress/gzip"
+	"io"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -36,7 +40,7 @@ func TestUsageCoversRegistry(t *testing.T) {
 	var buf bytes.Buffer
 	usage(&buf)
 	out := buf.String()
-	for _, global := range []string{"-seed", "-format", "-workers", "sweep"} {
+	for _, global := range []string{"-seed", "-format", "-workers", "-cpuprofile", "sweep"} {
 		if !strings.Contains(out, global) {
 			t.Errorf("usage missing global %q", global)
 		}
@@ -72,5 +76,37 @@ func TestAxisFlagParsing(t *testing.T) {
 		if err := b.Set(bad); err == nil {
 			t.Errorf("axis %q accepted", bad)
 		}
+	}
+}
+
+// -cpuprofile leaves a pprof profile: a gzip stream with a non-empty
+// protobuf body.
+func TestCPUProfileWritesProfile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "cpu.pprof")
+	stdout := os.Stdout
+	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer devnull.Close()
+	os.Stdout = devnull
+	defer func() { os.Stdout = stdout }()
+	runOne("sqrtn", []string{"-cpuprofile", path})
+
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	zr, err := gzip.NewReader(f)
+	if err != nil {
+		t.Fatalf("profile is not gzip: %v", err)
+	}
+	body, err := io.ReadAll(zr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(body) == 0 {
+		t.Fatal("profile body is empty")
 	}
 }

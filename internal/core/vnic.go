@@ -434,7 +434,9 @@ func (v *VirtualNIC) ownerRxCompletion(now sim.Time, c nicsim.RxCompletion) {
 }
 
 // deliverLocal is the fast RX path when the device is locally attached:
-// read the payload, invoke the app, repost the buffer — no channels.
+// read the payload, invoke the app, repost the buffer — no channels. A
+// failed read drops the frame but still reposts its buffer, so the RX
+// ring keeps its depth.
 func (v *VirtualNIC) deliverLocal(now sim.Time, c nicsim.RxCompletion) sim.Time {
 	if cap(v.rxBuf) < c.Len {
 		v.rxBuf = make([]byte, c.Len)
@@ -444,23 +446,25 @@ func (v *VirtualNIC) deliverLocal(now sim.Time, c nicsim.RxCompletion) sim.Time 
 	cur := now + d
 	if err != nil {
 		v.compDrops++
-		return cur
+	} else {
+		v.delivered++
+		if c.Stamp > 0 {
+			v.E2ELatency.Record(float64(cur - c.Stamp))
+		}
+		if v.onRecv != nil {
+			v.onRecv(cur, c.Src, payload)
+		}
 	}
-	v.delivered++
-	if c.Stamp > 0 {
-		v.E2ELatency.Record(float64(cur - c.Stamp))
+	if err := v.phys.PostRxBuffer(c.Addr, v.cfg.BufSize); err != nil {
+		v.txErrors++
 	}
-	if v.onRecv != nil {
-		v.onRecv(cur, c.Src, payload)
-	}
-	_ = v.phys.PostRxBuffer(c.Addr, v.cfg.BufSize)
 	return cur
 }
 
 // deliverRx runs on the user's agent: fetch the payload from the shared
 // buffer (ReadFresh: the NIC's DMA is not in our cache), call the app,
-// and send the buffer back for reposting. Returns the advanced time
-// cursor.
+// and send the buffer back for reposting — also when the read failed,
+// so the RX ring keeps its depth. Returns the advanced time cursor.
 func (v *VirtualNIC) deliverRx(cur sim.Time, desc descriptor) sim.Time {
 	if cap(v.rxBuf) < int(desc.len) {
 		v.rxBuf = make([]byte, desc.len)
@@ -470,14 +474,14 @@ func (v *VirtualNIC) deliverRx(cur sim.Time, desc descriptor) sim.Time {
 	cur += d
 	if err != nil {
 		v.compDrops++
-		return cur
-	}
-	v.delivered++
-	if desc.stamp > 0 {
-		v.E2ELatency.Record(float64(cur - desc.stamp))
-	}
-	if v.onRecv != nil {
-		v.onRecv(cur, desc.name, payload)
+	} else {
+		v.delivered++
+		if desc.stamp > 0 {
+			v.E2ELatency.Record(float64(cur - desc.stamp))
+		}
+		if v.onRecv != nil {
+			v.onRecv(cur, desc.name, payload)
+		}
 	}
 	// Recycle the RX buffer through the owner.
 	enc, _ := descriptor{kind: descRepost, addr: desc.addr}.encodeInto(v.descBuf[:])

@@ -7,7 +7,6 @@ import (
 	"cxlpool/internal/cluster"
 	"cxlpool/internal/params"
 	"cxlpool/internal/report"
-	"cxlpool/internal/runner"
 	"cxlpool/internal/sim"
 	"cxlpool/internal/topo"
 	"cxlpool/internal/torless"
@@ -141,36 +140,19 @@ func runClusterFederation(_ context.Context, p *params.Set) (*report.Report, err
 	// rack is hot, as the cluster grows. Isolated racks pin hot tenants
 	// to their overloaded home; federation gives them the fleet.
 	r.Line("pooling benefit at rack scale (hot-rack tenant goodput, 4 epochs):")
-	sizes := []int{2, 3, 4, 6, 8}
-	// Task 2k is the isolated run at sizes[k] racks, task 2k+1 the
-	// federated one.
-	g := make([]float64, 2*len(sizes))
-	pool := runner.Pool{Workers: workers}
-	if err := pool.ForEach(len(g), func(i int) error {
-		// The sweep varies exactly one thing — the number of racks
-		// pooled — so its sub-clusters are always the uniform
-		// single-row shape, whatever topology the main run used (a
-		// cloned -rows could otherwise exceed the smallest
-		// sub-cluster's rack count).
-		var err error
-		g[i], err = hotGoodput(p, i%2 == 1, "racks", sizes[i/2], "topo", "uniform")
-		return err
-	}); err != nil {
+	// The sweep varies exactly one thing — the number of racks pooled —
+	// so its sub-clusters are always the uniform single-row shape,
+	// whatever topology the main run used (a cloned -rows could
+	// otherwise exceed the smallest sub-cluster's rack count).
+	var points []benefitPoint
+	for _, n := range []int{2, 3, 4, 6, 8} {
+		points = append(points, benefitPoint{report.Num(float64(n), "%d", n), float64(n),
+			[]any{"racks", n, "topo", "uniform"}})
+	}
+	if err := addPoolingBenefit(r, p, workers, report.NumCol("racks"),
+		report.Series{Name: "pooling_benefit_vs_racks", XLabel: "racks"}, points); err != nil {
 		return nil, err
 	}
-	bt := r.AddTable("pooling_benefit",
-		report.NumCol("racks"), report.NumCol("isolated racks"),
-		report.NumCol("federated"), report.NumCol("benefit"))
-	benefit := report.Series{Name: "pooling_benefit_vs_racks", XLabel: "racks", YLabel: "federated/isolated goodput"}
-	for k, n := range sizes {
-		local, fed := g[2*k], g[2*k+1]
-		bt.Row(report.Num(float64(n), "%d", n),
-			report.Num(local*100, "%.0f%%"),
-			report.Num(fed*100, "%.0f%%"),
-			report.Num(fed/local, "%.2fx"))
-		benefit.Points = append(benefit.Points, [2]float64{float64(n), fed / local})
-	}
-	r.AddSeries(benefit)
 	r.Line("(isolated racks strand remote slack exactly like unpooled PCIe devices strand NICs)")
 	return r, nil
 }

@@ -5,6 +5,8 @@ import (
 
 	"cxlpool/internal/cluster"
 	"cxlpool/internal/params"
+	"cxlpool/internal/report"
+	"cxlpool/internal/runner"
 	"cxlpool/internal/sim"
 	"cxlpool/internal/topo"
 	"cxlpool/internal/workload"
@@ -168,4 +170,42 @@ func hotGoodput(p *params.Set, federate bool, overrides ...any) (float64, error)
 		return 0, fmt.Errorf("experiments: hot tenants offered no traffic")
 	}
 	return float64(delivered) / float64(offered), nil
+}
+
+// benefitPoint is one federated point of a pooling-benefit sweep: its
+// table cell, its series abscissa and its hotGoodput overrides.
+type benefitPoint struct {
+	label     report.Cell
+	x         float64
+	overrides []any
+}
+
+// addPoolingBenefit closes E14 and E18 with the pooling_benefit table
+// and series: one federated hotGoodput per point against one isolated
+// baseline, run at the first point. Isolated racks never exchange
+// tenants or spine traffic, and the four-epoch hotspot visits only
+// racks 0 and 1, so the baseline does not depend on the swept rack
+// count or spine ratio, and one run serves every row.
+func addPoolingBenefit(r *report.Report, p *params.Set, workers int,
+	xCol report.Column, series report.Series, points []benefitPoint) error {
+	// Task i < len(points) is the federated run at points[i]; the last
+	// task is the isolated baseline, at points[0].
+	g := make([]float64, len(points)+1)
+	if err := (runner.Pool{Workers: workers}).ForEach(len(g), func(i int) (err error) {
+		g[i], err = hotGoodput(p, i < len(points), points[i%len(points)].overrides...)
+		return err
+	}); err != nil {
+		return err
+	}
+	base := g[len(points)]
+	bt := r.AddTable("pooling_benefit", xCol, report.NumCol("isolated racks"),
+		report.NumCol("federated"), report.NumCol("benefit"))
+	series.YLabel = "federated/isolated goodput"
+	for i, pt := range points {
+		bt.Row(pt.label, report.Num(base*100, "%.0f%%"),
+			report.Num(g[i]*100, "%.0f%%"), report.Num(g[i]/base, "%.2fx"))
+		series.Points = append(series.Points, [2]float64{pt.x, g[i] / base})
+	}
+	r.AddSeries(series)
+	return nil
 }

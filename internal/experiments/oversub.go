@@ -7,7 +7,6 @@ import (
 	"cxlpool/internal/cluster"
 	"cxlpool/internal/params"
 	"cxlpool/internal/report"
-	"cxlpool/internal/runner"
 	"cxlpool/internal/sim"
 )
 
@@ -121,40 +120,18 @@ func runOversub(_ context.Context, p *params.Set) (*report.Report, error) {
 	// baseline never touches the spine (tenants stay home), so it is
 	// computed once; each federated point pays the ratio's contention.
 	r.Line("pooling benefit vs oversubscription (hot-rack tenant goodput, 4 epochs):")
-	ratios := []float64{0, 1, 2, 4, 8}
-	// Task i < len(ratios) is the federated run at ratios[i]; the last
-	// task is the isolated baseline.
-	g := make([]float64, len(ratios)+1)
-	pool := runner.Pool{Workers: workers}
-	if err := pool.ForEach(len(g), func(i int) error {
-		var err error
-		if i == len(ratios) {
-			g[i], err = hotGoodput(p, false, "ratio", 0)
-		} else {
-			g[i], err = hotGoodput(p, true, "ratio", ratios[i])
-		}
-		return err
-	}); err != nil {
-		return nil, err
-	}
-	fed, isolated := g[:len(ratios)], g[len(ratios)]
-	bt := r.AddTable("pooling_benefit",
-		report.StrCol("oversub"), report.NumCol("isolated racks"),
-		report.NumCol("federated"), report.NumCol("benefit"))
-	series := report.Series{Name: "pooling_benefit_vs_oversub",
-		XLabel: "oversubscription ratio", YLabel: "federated/isolated goodput"}
-	for i, rt := range ratios {
+	var points []benefitPoint
+	for _, rt := range []float64{0, 1, 2, 4, 8} {
 		label := fmt.Sprintf("%g:1", rt)
 		if rt == 0 {
 			label = "non-blocking"
 		}
-		bt.Row(report.Str(label),
-			report.Num(isolated*100, "%.0f%%"),
-			report.Num(fed[i]*100, "%.0f%%"),
-			report.Num(fed[i]/isolated, "%.2fx"))
-		series.Points = append(series.Points, [2]float64{rt, fed[i] / isolated})
+		points = append(points, benefitPoint{report.Str(label), rt, []any{"ratio", rt}})
 	}
-	r.AddSeries(series)
+	if err := addPoolingBenefit(r, p, workers, report.StrCol("oversub"),
+		report.Series{Name: "pooling_benefit_vs_oversub", XLabel: "oversubscription ratio"}, points); err != nil {
+		return nil, err
+	}
 	r.Line("(full bisection keeps the federation benefit; oversubscription hands it back link by link)")
 	return r, nil
 }
