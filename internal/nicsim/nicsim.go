@@ -210,6 +210,15 @@ func (n *NIC) PostRxBuffers(addrs []mem.Address, size int) error {
 	return nil
 }
 
+// dropRx drops a frame whose descriptor was consumed but never
+// completed (frame too large, DMA failed) and reposts the descriptor,
+// as a driver reposts a buffer whose completion carried an error. The
+// descriptor was just consumed, so the ring has room for it.
+func (n *NIC) dropRx(desc rxDesc) {
+	n.rxDrops++
+	_ = n.PostRxBuffer(desc.addr, desc.size)
+}
+
 // RxRingLen returns the number of posted RX buffers.
 func (n *NIC) RxRingLen() int { return len(n.rxRing) - n.rxHead }
 
@@ -275,12 +284,12 @@ func (n *NIC) FromWire(now sim.Time, p *netsim.Packet) {
 	desc := n.rxRing[n.rxHead]
 	n.rxHead++
 	if len(p.Payload) > desc.size {
-		n.rxDrops++
+		n.dropRx(desc)
 		return
 	}
 	d, err := n.ep.DMAWrite(now, desc.addr, p.Payload)
 	if err != nil {
-		n.rxDrops++
+		n.dropRx(desc)
 		return
 	}
 	n.rxPackets++

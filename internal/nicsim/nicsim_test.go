@@ -1,6 +1,7 @@
 package nicsim
 
 import (
+	"errors"
 	"testing"
 
 	"cxlpool/internal/mem"
@@ -98,6 +99,20 @@ func TestRxDropWithoutBuffer(t *testing.T) {
 	}
 }
 
+// send transmits an n-byte frame from a (its memory at 0) to b and runs
+// the fabric dry.
+func (r *rig) send(t *testing.T, n int) {
+	t.Helper()
+	if _, err := r.a.Transmit(r.engine.Now(), 0, n, "b", 0); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.engine.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// A frame too large for the posted buffer is dropped, and the buffer
+// stays posted for the next frame that fits.
 func TestRxDropBufferTooSmall(t *testing.T) {
 	r := newRig(t)
 	if err := r.b.PostRxBuffer(0, 8); err != nil {
@@ -107,15 +122,59 @@ func TestRxDropBufferTooSmall(t *testing.T) {
 	if err := r.memA.Poke(0, big); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.a.Transmit(0, 0, 100, "b", 0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := r.engine.Run(); err != nil {
-		t.Fatal(err)
-	}
+	var rx int
+	r.b.OnReceive(func(sim.Time, RxCompletion) { rx++ })
+	r.send(t, 100)
 	_, _, _, _, drops := r.b.Stats()
 	if drops != 1 {
 		t.Fatalf("drops = %d", drops)
+	}
+	if got := r.b.RxRingLen(); got != 1 {
+		t.Fatalf("RX ring holds %d buffers after the drop, want 1", got)
+	}
+	r.send(t, 8)
+	if rx != 1 || r.b.RxRingLen() != 0 {
+		t.Fatalf("fitting frame: delivered %d, ring %d; want 1, 0", rx, r.b.RxRingLen())
+	}
+}
+
+// failWrites is host memory whose writes fail while on is set.
+type failWrites struct {
+	mem.Memory
+	on bool
+}
+
+func (m *failWrites) WriteAt(now sim.Time, a mem.Address, buf []byte) (sim.Duration, error) {
+	if m.on {
+		return 0, errors.New("injected DMA write failure")
+	}
+	return m.Memory.WriteAt(now, a, buf)
+}
+
+// A frame whose DMA write fails is dropped, and its buffer stays posted
+// for the next frame.
+func TestRxDMAFailureRepostsBuffer(t *testing.T) {
+	r := newRig(t)
+	host := &failWrites{Memory: r.memB}
+	r.b.AttachHostMemory(host)
+	if err := r.b.PostRxBuffer(0, 2048); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.memA.Poke(0, []byte("data")); err != nil {
+		t.Fatal(err)
+	}
+	var rx int
+	r.b.OnReceive(func(sim.Time, RxCompletion) { rx++ })
+	host.on = true
+	r.send(t, 4)
+	_, _, _, _, drops := r.b.Stats()
+	if rx != 0 || drops != 1 || r.b.RxRingLen() != 1 {
+		t.Fatalf("failed DMA: delivered %d, drops %d, ring %d; want 0, 1, 1", rx, drops, r.b.RxRingLen())
+	}
+	host.on = false
+	r.send(t, 4)
+	if rx != 1 || r.b.RxRingLen() != 0 {
+		t.Fatalf("after repair: delivered %d, ring %d; want 1, 0", rx, r.b.RxRingLen())
 	}
 }
 

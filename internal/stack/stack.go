@@ -82,6 +82,49 @@ func (p *BufferPool) WriteCPU(now sim.Time, a mem.Address, buf []byte) (sim.Dura
 	return p.cpu.WriteAt(now, a, buf)
 }
 
+// pending is one scheduled step of the echo path with its argument.
+// The struct and its callback are made once and recycled, so a
+// per-packet step allocates nothing once the free-list is warm (the
+// same pattern as netsim's frame deliveries).
+type pending[T any] struct {
+	q   *eventQueue[T]
+	arg T
+	fn  func()
+}
+
+// eventQueue schedules handle(now, arg) on the engine through recycled
+// pending structs.
+type eventQueue[T any] struct {
+	engine *sim.Engine
+	handle func(now sim.Time, arg T)
+	free   []*pending[T]
+}
+
+// at schedules handle(t, arg) at time t.
+func (q *eventQueue[T]) at(t sim.Time, arg T) {
+	var p *pending[T]
+	if k := len(q.free); k > 0 {
+		p = q.free[k-1]
+		q.free[k-1] = nil
+		q.free = q.free[:k-1]
+	} else {
+		p = &pending[T]{q: q}
+		p.fn = p.run
+	}
+	p.arg = arg
+	q.engine.At(t, p.fn)
+}
+
+// run fires the step. The struct is cleared and recycled before the
+// handler runs, so a handler that schedules the same step reuses it.
+func (p *pending[T]) run() {
+	q, arg := p.q, p.arg
+	var zero T
+	p.arg = zero
+	q.free = append(q.free, p)
+	q.handle(q.engine.Now(), arg)
+}
+
 // Server is a single-worker UDP echo server (the paper's
 // microbenchmark server).
 type Server struct {
@@ -96,6 +139,11 @@ type Server struct {
 	workerFree []sim.Time
 	// reqBuf is the per-server request staging scratch (grow-once).
 	reqBuf []byte
+
+	// inbound runs each RX completion after the ingress traversal;
+	// outbound transmits each echo after the egress traversal.
+	inbound  eventQueue[nicsim.RxCompletion]
+	outbound eventQueue[echoReply]
 
 	served   uint64
 	rxErrors uint64
@@ -126,6 +174,8 @@ func NewServerWorkers(engine *sim.Engine, nic *nicsim.NIC, pool *BufferPool, buf
 		workerFree:  make([]sim.Time, workers),
 		ServiceTime: metrics.NewRecorder(4096),
 	}
+	s.inbound = eventQueue[nicsim.RxCompletion]{engine: engine, handle: s.process}
+	s.outbound = eventQueue[echoReply]{engine: engine, handle: s.transmit}
 	nic.AttachHostMemory(pool.DMAView())
 	for i := 0; i < ringDepth; i++ {
 		addr, err := pool.Alloc(bufSize)
@@ -143,11 +193,17 @@ func NewServerWorkers(engine *sim.Engine, nic *nicsim.NIC, pool *BufferPool, buf
 // Served returns the number of echoed requests.
 func (s *Server) Served() uint64 { return s.served }
 
+// echoReply is a prepared response: its TX buffer and the request it
+// answers.
+type echoReply struct {
+	txAddr mem.Address
+	req    nicsim.RxCompletion
+}
+
 // onReceive handles an RX completion: schedule the worker.
 func (s *Server) onReceive(now sim.Time, c nicsim.RxCompletion) {
 	// Ingress stack traversal, then worker processing.
-	notify := now + StackTraversal
-	s.engine.At(notify, func() { s.process(notify, c) })
+	s.inbound.at(now+StackTraversal, c)
 }
 
 // process runs the echo application on the earliest-free worker core.
@@ -172,20 +228,20 @@ func (s *Server) process(now sim.Time, c nicsim.RxCompletion) {
 	req := s.reqBuf[:c.Len]
 	rd, err := s.pool.ReadCPU(start, c.Addr, req)
 	if err != nil {
-		s.rxErrors++
+		s.drop(c)
 		return
 	}
 	// Prepare the response in a fresh TX buffer.
 	txAddr, err := s.pool.Alloc(c.Len)
 	if err != nil {
-		// Out of buffer memory: drop (counted), repost RX.
-		s.rxErrors++
-		_ = s.nic.PostRxBuffer(c.Addr, s.bufSize)
+		// Out of buffer memory.
+		s.drop(c)
 		return
 	}
 	wr, err := s.pool.WriteCPU(start+rd, txAddr, req)
 	if err != nil {
-		s.rxErrors++
+		_ = s.pool.Free(txAddr) // just allocated above: cannot be a bad free
+		s.drop(c)
 		return
 	}
 	// Worker occupancy: fixed CPU cost + streaming copy of the payload
@@ -198,18 +254,27 @@ func (s *Server) process(now sim.Time, c nicsim.RxCompletion) {
 	// This packet's completion additionally pays the (pipelined) memory
 	// latency of its own buffer accesses.
 	done := start + occupancy + rd + wr
-	n := len(req)
-	s.engine.At(done+StackTraversal, func() {
-		t := done + StackTraversal
-		if _, err := s.nic.Transmit(t, txAddr, n, c.Src, c.Stamp); err != nil {
-			s.rxErrors++
-		}
-		// Transmit DMA-read the TX buffer synchronously; both buffers
-		// can be recycled now.
-		_ = s.pool.Free(txAddr)
-		_ = s.nic.PostRxBuffer(c.Addr, s.bufSize)
-		s.served++
-	})
+	s.outbound.at(done+StackTraversal, echoReply{txAddr: txAddr, req: c})
+}
+
+// drop discards a request the worker could not echo (counted) and
+// reposts its RX buffer. The buffer came off the ring, so the ring has
+// room for it.
+func (s *Server) drop(c nicsim.RxCompletion) {
+	s.rxErrors++
+	_ = s.nic.PostRxBuffer(c.Addr, s.bufSize)
+}
+
+// transmit sends a prepared echo and recycles both of its buffers.
+func (s *Server) transmit(now sim.Time, r echoReply) {
+	if _, err := s.nic.Transmit(now, r.txAddr, r.req.Len, r.req.Src, r.req.Stamp); err != nil {
+		s.rxErrors++
+	}
+	// Transmit DMA-read the TX buffer synchronously; both buffers
+	// can be recycled now.
+	_ = s.pool.Free(r.txAddr)
+	_ = s.nic.PostRxBuffer(r.req.Addr, s.bufSize)
+	s.served++
 }
 
 // Client is an open-loop UDP load generator measuring RTT percentiles,
@@ -225,6 +290,11 @@ type Client struct {
 	// pattern is the request payload, identical for every send; built
 	// once instead of per packet.
 	pattern []byte
+
+	// outbound transmits each request after the egress traversal;
+	// inbound records each response after the ingress traversal.
+	outbound eventQueue[clientRequest]
+	inbound  eventQueue[nicsim.RxCompletion]
 
 	sent      uint64
 	responses uint64
@@ -255,6 +325,8 @@ func NewClient(engine *sim.Engine, nic *nicsim.NIC, pool *BufferPool, dst string
 		pattern: make([]byte, payload),
 		RTT:     metrics.NewRecorder(1 << 16),
 	}
+	c.outbound = eventQueue[clientRequest]{engine: engine, handle: c.transmit}
+	c.inbound = eventQueue[nicsim.RxCompletion]{engine: engine, handle: c.record}
 	for i := range c.pattern {
 		c.pattern[i] = byte(i)
 	}
@@ -288,22 +360,42 @@ func (c *Client) ResponsesInWindow() uint64 {
 }
 
 // Start generates Poisson arrivals at ratePPS for the given duration of
-// simulated time, beginning at start.
+// simulated time, beginning at start. Each call is an independent
+// stream.
 func (c *Client) Start(start sim.Time, ratePPS float64, duration sim.Duration) {
 	if ratePPS <= 0 {
 		return
 	}
-	meanGap := sim.Duration(1e9 / ratePPS)
-	end := start + duration
-	var arrival func(t sim.Time)
-	arrival = func(t sim.Time) {
-		c.sendOne(t)
-		next := t + c.rng.Exp(meanGap)
-		if next < end {
-			c.engine.At(next, func() { arrival(next) })
-		}
+	a := &arrivals{c: c, meanGap: sim.Duration(1e9 / ratePPS), end: start + duration}
+	a.fn = a.run
+	c.engine.At(start, a.fn)
+}
+
+// arrivals is one Start call's arrival stream: a single struct, with
+// its callback bound once, rescheduled for every arrival.
+type arrivals struct {
+	c       *Client
+	meanGap sim.Duration
+	end     sim.Time
+	fn      func()
+}
+
+// run sends the request due now and schedules the next arrival.
+func (a *arrivals) run() {
+	c := a.c
+	t := c.engine.Now()
+	c.sendOne(t)
+	if next := t + c.rng.Exp(a.meanGap); next < a.end {
+		c.engine.At(next, a.fn)
 	}
-	c.engine.At(start, func() { arrival(start) })
+}
+
+// clientRequest is a request written to its TX buffer, waiting for the
+// egress traversal.
+type clientRequest struct {
+	addr mem.Address
+	// stamp is the request-initiation time, carried for RTT.
+	stamp sim.Time
 }
 
 // sendOne issues one request at time t.
@@ -317,25 +409,28 @@ func (c *Client) sendOne(t sim.Time) {
 		_ = c.pool.Free(addr)
 		return
 	}
-	txAt := t + wr + StackTraversal
-	c.engine.At(txAt, func() {
-		// Stamp carries the request-initiation time for RTT.
-		if _, err := c.nic.Transmit(txAt, addr, c.payload, c.dst, t); err == nil {
-			c.sent++
-		}
-		_ = c.pool.Free(addr)
-	})
+	c.outbound.at(t+wr+StackTraversal, clientRequest{addr: addr, stamp: t})
 }
 
-// onReceive records the RTT of a response.
+// transmit puts a request on the wire and frees its TX buffer.
+func (c *Client) transmit(now sim.Time, r clientRequest) {
+	if _, err := c.nic.Transmit(now, r.addr, c.payload, c.dst, r.stamp); err == nil {
+		c.sent++
+	}
+	_ = c.pool.Free(r.addr)
+}
+
+// onReceive schedules a response's ingress traversal.
 func (c *Client) onReceive(now sim.Time, comp nicsim.RxCompletion) {
-	done := now + StackTraversal
-	c.engine.At(done, func() {
-		c.responses++
-		if c.Window == 0 || done <= c.Window {
-			c.responsesInWindow++
-		}
-		c.RTT.Record(float64(done - comp.Stamp))
-		_ = c.nic.PostRxBuffer(comp.Addr, c.payload)
-	})
+	c.inbound.at(now+StackTraversal, comp)
+}
+
+// record counts a response, records its RTT and reposts its buffer.
+func (c *Client) record(now sim.Time, comp nicsim.RxCompletion) {
+	c.responses++
+	if c.Window == 0 || now <= c.Window {
+		c.responsesInWindow++
+	}
+	c.RTT.Record(float64(now - comp.Stamp))
+	_ = c.nic.PostRxBuffer(comp.Addr, c.payload)
 }

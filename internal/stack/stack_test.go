@@ -1,6 +1,7 @@
 package stack
 
 import (
+	"errors"
 	"testing"
 
 	"cxlpool/internal/cxl"
@@ -284,5 +285,114 @@ func BenchmarkUDPEchoPoint(b *testing.B) {
 			Duration: sim.Millisecond, Mode: BufferCXL, Seed: int64(i)}); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestUDPEchoAllocationBudget pins the echo path's steady-state
+// allocation cost: each extra response may cost at most a quarter of an
+// allocation, in both buffer modes, for small and jumbo payloads.
+// Set-up (rings, regions, recorders) is the same at both loads, so it
+// cancels in the difference.
+func TestUDPEchoAllocationBudget(t *testing.T) {
+	for _, mode := range []BufferMode{BufferDDR, BufferCXL} {
+		for _, payload := range []int{75, 9000} {
+			run := func(mops float64) (allocs float64, responses uint64) {
+				cfg := UDPBenchConfig{Payload: payload, OfferedMOPS: mops,
+					Duration: 2 * sim.Millisecond, Mode: mode, Seed: 42}
+				allocs = testing.AllocsPerRun(1, func() {
+					r, err := RunUDPBench(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					responses = r.Responses
+				})
+				return allocs, responses
+			}
+			lowAllocs, lowN := run(0.25)
+			highAllocs, highN := run(1.0)
+			if highN <= lowN {
+				t.Fatalf("%v %dB: %d responses at 1.0 MOPS, %d at 0.25", mode, payload, highN, lowN)
+			}
+			perResponse := (highAllocs - lowAllocs) / float64(highN-lowN)
+			t.Logf("%v %dB: %.0f -> %.0f allocs for %d -> %d responses (%.3f per extra response)",
+				mode, payload, lowAllocs, highAllocs, lowN, highN, perResponse)
+			if perResponse > 0.25 {
+				t.Errorf("%v %dB: %.3f allocations per extra response, budget 0.25", mode, payload, perResponse)
+			}
+		}
+	}
+}
+
+// failingMemory is a CPU view whose reads or writes fail.
+type failingMemory struct {
+	mem.Memory
+	failRead, failWrite bool
+}
+
+var errInjected = errors.New("injected CPU access failure")
+
+func (m *failingMemory) ReadAt(now sim.Time, a mem.Address, buf []byte) (sim.Duration, error) {
+	if m.failRead {
+		return 0, errInjected
+	}
+	return m.Memory.ReadAt(now, a, buf)
+}
+
+func (m *failingMemory) WriteAt(now sim.Time, a mem.Address, buf []byte) (sim.Duration, error) {
+	if m.failWrite {
+		return 0, errInjected
+	}
+	return m.Memory.WriteAt(now, a, buf)
+}
+
+// A request the worker cannot read or answer is dropped and counted,
+// and gives back everything it held: the RX buffer goes back on the
+// ring and the TX buffer back to the pool.
+func TestServerCPUAccessFailureRecyclesBuffers(t *testing.T) {
+	for _, failRead := range []bool{true, false} {
+		r := newEchoRig(t, 256, BufferCXL)
+		r.sPool.cpu = &failingMemory{Memory: r.sPool.cpu, failRead: failRead, failWrite: !failRead}
+		ring := r.server.nic.RxRingLen()
+		base := r.sPool.alloc.AllocCount()
+		// More requests than the ring holds: a leaked RX buffer would
+		// run the ring dry.
+		r.client.Start(0, 500_000, sim.Millisecond)
+		if _, err := r.engine.Run(); err != nil {
+			t.Fatal(err)
+		}
+		sent := r.client.Sent()
+		if sent <= uint64(ring) {
+			t.Fatalf("failRead=%v: sent %d requests, want more than the ring's %d", failRead, sent, ring)
+		}
+		if r.server.rxErrors != sent || r.server.Served() != 0 || r.client.Responses() != 0 {
+			t.Fatalf("failRead=%v: rxErrors=%d served=%d responses=%d, want %d/0/0",
+				failRead, r.server.rxErrors, r.server.Served(), r.client.Responses(), sent)
+		}
+		if got := r.server.nic.RxRingLen(); got != ring {
+			t.Fatalf("failRead=%v: RX ring holds %d buffers, want %d", failRead, got, ring)
+		}
+		if got := r.sPool.alloc.AllocCount(); got != base {
+			t.Fatalf("failRead=%v: %d pool allocations live, want %d", failRead, got, base)
+		}
+	}
+}
+
+// Each Start call is its own stream with its own rate and end: two
+// overlapping streams send what the two would send apart.
+func TestStartStreamsAreIndependent(t *testing.T) {
+	sent := func(durations ...sim.Duration) uint64 {
+		r := newEchoRig(t, 64, BufferDDR)
+		for _, d := range durations {
+			r.client.Start(0, 200_000, d)
+		}
+		if _, err := r.engine.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return r.client.Sent()
+	}
+	short, long := sent(sim.Millisecond), sent(3*sim.Millisecond)
+	both := sent(sim.Millisecond, 3*sim.Millisecond)
+	if want := float64(short + long); float64(both) < 0.85*want || float64(both) > 1.15*want {
+		t.Fatalf("two streams sent %d, want about %d (%d + %d)", both, short+long, short, long)
 	}
 }

@@ -70,14 +70,15 @@ OUT="${OUT:-BENCH_${DATE}.json}"
 RAW="$(mktemp)"
 trap 'rm -f "$RAW"' EXIT
 
-# The curated set: artifact-level regenerations at the root, kernel
-# stress in internal/sim, packer scaling in internal/stranding, the
-# rack-scale federation and multi-row fleet cycles, fleet construction,
-# the cache's jumbo-buffer coherence range operations, one tenant vNIC
-# bind/unbind, and an 8 KiB interleaved read and write of pod memory. Every benchmark runs one fixed input on every
-# iteration, so a 1x smoke run and a 1s run measure the same work and
-# their allocs/op compare like for like.
-go test -run='^$' -bench='Figure2Stranding|Figure2XL|SqrtNPooling|Figure4PingPong|ToRless|AllExperiments|ClusterFederation|MultiRow|FailuresScenario|FailuresCorrelated|ChurnAdmission|SpineContention|ClusterNew' \
+# The curated set: artifact-level regenerations at the root (one
+# Figure 3 point per panel among them), kernel stress in internal/sim,
+# packer scaling in internal/stranding, the rack-scale federation and
+# multi-row fleet cycles, fleet construction, the cache's jumbo-buffer
+# coherence range operations, one tenant vNIC bind/unbind, and an 8 KiB
+# interleaved read and write of pod memory. Every benchmark runs one
+# fixed input on every iteration, so a 1x smoke run and a 1s run measure
+# the same work and their allocs/op compare like for like.
+go test -run='^$' -bench='Figure2Stranding|Figure2XL|SqrtNPooling|Figure3UDP75B|Figure3UDP1500B|Figure3UDP9000B|Figure4PingPong|ToRless|AllExperiments|ClusterFederation|MultiRow|FailuresScenario|FailuresCorrelated|ChurnAdmission|SpineContention|ClusterNew' \
     -benchmem -benchtime="$BENCHTIME" . | tee -a "$RAW"
 go test -run='^$' -bench=. -benchmem -benchtime="$BENCHTIME" ./internal/sim/ | tee -a "$RAW"
 go test -run='^$' -bench='PackCluster2000|PackCluster20k' -benchmem -benchtime="$BENCHTIME" ./internal/stranding/ | tee -a "$RAW"
