@@ -1,13 +1,11 @@
 package core
 
 import (
-	"encoding/binary"
+	"errors"
 	"fmt"
 
 	"cxlpool/internal/accelsim"
 	"cxlpool/internal/mem"
-	"cxlpool/internal/metrics"
-	"cxlpool/internal/pcie"
 	"cxlpool/internal/shm"
 	"cxlpool/internal/sim"
 )
@@ -17,99 +15,13 @@ import (
 // CXL shared segment; jobs are submitted over shared-memory channels;
 // the owner's agent drives the physical device. Deploying a 1:16
 // accelerator:host ratio becomes a software mapping instead of a
-// hardware topology.
+// hardware topology. The transport, with Name, Owner, Phys, Stats and
+// Latency, is the embedded forwarder.
 type VirtualAccel struct {
-	name string
-	user *Host
-
-	owner *Host
-	phys  *accelsim.Accel
-
-	cmdSend  *shm.Sender
-	compSend *shm.Sender
-	ownerSvc *service
-	userSvc  *service
-
-	bufSize  int
-	cfgBufs  int
-	cfgSlots int
-	// Each buffer slot holds input and output halves.
-	bufFree []mem.Address
-
-	nextID  uint64
-	pending map[uint64]*accelPending
-
-	// descBuf stages descriptor encodes; outBuf stages job output handed
-	// to onDone callbacks, valid only during the callback.
-	descBuf [40]byte
-	outBuf  []byte
-
-	submitted uint64
-	completed uint64
-	jobErrors uint64
-	remaps    uint64
-
-	// Latency records user-visible offload round trips.
-	Latency *metrics.Recorder
-}
-
-type accelPending struct {
-	buf    mem.Address
-	start  sim.Time
-	outLen int
-	onDone func(now sim.Time, output []byte, err error)
-}
-
-// accel descriptor: kind(1) pad(3) inLen(4) outLen(4) pad(4) addr(8) id(8) stamp(8).
-const (
-	accelKindCmd  uint8 = 20
-	accelKindComp uint8 = 21
-	accelKindErr  uint8 = 22
-)
-
-type accelDesc struct {
-	kind   uint8
-	inLen  uint32
-	outLen uint32
-	addr   mem.Address
-	id     uint64
-	stamp  sim.Time
-}
-
-// encodeInto packs the descriptor into dst (>= 40 bytes), overwriting
-// the full image so dst may be reused scratch.
-func (d accelDesc) encodeInto(dst []byte) []byte {
-	buf := dst[:40]
-	for i := range buf {
-		buf[i] = 0
-	}
-	buf[0] = d.kind
-	binary.LittleEndian.PutUint32(buf[4:8], d.inLen)
-	binary.LittleEndian.PutUint32(buf[8:12], d.outLen)
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(d.addr))
-	binary.LittleEndian.PutUint64(buf[24:32], d.id)
-	binary.LittleEndian.PutUint64(buf[32:40], uint64(d.stamp))
-	return buf
-}
-
-func (d accelDesc) encode() []byte { return d.encodeInto(make([]byte, 40)) }
-
-func decodeAccelDesc(buf []byte) (accelDesc, error) {
-	if len(buf) < 40 {
-		return accelDesc{}, fmt.Errorf("core: short accel descriptor (%d)", len(buf))
-	}
-	d := accelDesc{
-		kind:   buf[0],
-		inLen:  binary.LittleEndian.Uint32(buf[4:8]),
-		outLen: binary.LittleEndian.Uint32(buf[8:12]),
-		addr:   mem.Address(binary.LittleEndian.Uint64(buf[16:24])),
-		id:     binary.LittleEndian.Uint64(buf[24:32]),
-		stamp:  sim.Time(binary.LittleEndian.Uint64(buf[32:40])),
-	}
-	if d.kind != accelKindCmd && d.kind != accelKindComp && d.kind != accelKindErr {
-		return accelDesc{}, fmt.Errorf("core: unknown accel descriptor kind %d", d.kind)
-	}
-	return d, nil
+	forwarder[*accelsim.Accel]
+	// bufSize is the input capacity; each slot holds the input in its
+	// first bufSize bytes and the output after it.
+	bufSize int
 }
 
 // VAccelConfig sizes a virtual accelerator.
@@ -135,217 +47,58 @@ func (c *VAccelConfig) defaults() {
 	}
 }
 
+var accelClass = fwdClass{
+	label:   "vAccel",
+	failed:  errors.New("core: remote accelerator job failed"),
+	aborted: errors.New("core: job aborted by remap"),
+}
+
 // NewVirtualAccel creates an unbound virtual accelerator for user.
 func NewVirtualAccel(user *Host, name string, cfg VAccelConfig) *VirtualAccel {
 	cfg.defaults()
-	return &VirtualAccel{
-		name:     name,
-		user:     user,
-		bufSize:  cfg.BufSize,
-		cfgBufs:  cfg.Buffers,
-		cfgSlots: cfg.ChannelSlots,
-		pending:  make(map[uint64]*accelPending),
-		Latency:  metrics.NewRecorder(4096),
+	v := &VirtualAccel{
+		forwarder: newForwarder[*accelsim.Accel](user, name, accelClass, cfg.Buffers, cfg.ChannelSlots),
+		bufSize:   cfg.BufSize,
 	}
+	v.start = v.startJob
+	return v
 }
 
-// Name returns the device name.
-func (v *VirtualAccel) Name() string { return v.name }
-
-// Owner returns the serving host (nil when unbound).
-func (v *VirtualAccel) Owner() *Host { return v.owner }
-
-// Phys returns the backing accelerator.
-func (v *VirtualAccel) Phys() *accelsim.Accel { return v.phys }
-
-// Stats returns (submitted, completed, jobErrors, remaps).
-func (v *VirtualAccel) Stats() (submitted, completed, jobErrors, remaps uint64) {
-	return v.submitted, v.completed, v.jobErrors, v.remaps
-}
-
-// slotSize is input capacity plus worst-case output for the bound
-// device's profile.
-func (v *VirtualAccel) slotSize() int {
-	exp := 1.0
-	if v.phys != nil {
-		exp = accelsim.DefaultProfile(v.phys.Kind()).Expansion
-	}
-	out := int(float64(v.bufSize) * exp)
-	if out < v.bufSize {
-		out = v.bufSize
-	}
-	return v.bufSize + out
+// slotSize is input capacity plus worst-case output for phys's profile.
+func (v *VirtualAccel) slotSize(phys *accelsim.Accel) int {
+	out := int(float64(v.bufSize) * accelsim.DefaultProfile(phys.Kind()).Expansion)
+	return v.bufSize + max(out, v.bufSize)
 }
 
 // Bind attaches the virtual accelerator to a physical device on owner.
+// A failed Bind leaves the device unbound.
 func (v *VirtualAccel) Bind(owner *Host, phys *accelsim.Accel) (sim.Duration, error) {
-	if v.phys != nil {
-		v.unbind()
-	}
-	pod := v.user.pod
-	cmdCh, err := pod.NewChannel(v.cfgSlots)
-	if err != nil {
-		return 0, err
-	}
-	compCh, err := pod.NewChannel(v.cfgSlots)
-	if err != nil {
-		return 0, err
-	}
-	v.owner = owner
-	v.phys = phys
-	phys.AttachHostMemory(owner.space)
-	v.cmdSend = cmdCh.NewSender(v.user.cache)
-	v.compSend = compCh.NewSender(owner.cache)
-	v.ownerSvc = owner.agent.addService(cmdCh.NewReceiver(owner.cache), v.handleOwner)
-	v.userSvc = v.user.agent.addService(compCh.NewReceiver(v.user.cache), v.handleUser)
-	for i := 0; i < v.cfgBufs; i++ {
-		a, err := pod.SharedAlloc(v.slotSize())
-		if err != nil {
-			return 0, fmt.Errorf("core: vAccel buffer pool: %w", err)
-		}
-		v.bufFree = append(v.bufFree, a)
-	}
-	return RemapLatency, nil
-}
-
-func (v *VirtualAccel) unbind() {
-	if v.ownerSvc != nil {
-		v.ownerSvc.active = false
-		v.ownerSvc = nil
-	}
-	if v.userSvc != nil {
-		v.userSvc.active = false
-		v.userSvc = nil
-	}
-	for _, a := range v.bufFree {
-		_ = v.user.pod.SharedFree(a)
-	}
-	v.bufFree = v.bufFree[:0]
-	v.owner = nil
-	v.phys = nil
-	v.cmdSend = nil
-	v.compSend = nil
+	return v.bind(owner, phys, v.slotSize(phys))
 }
 
 // Remap rebinds to a different accelerator; outstanding jobs abort.
 func (v *VirtualAccel) Remap(owner *Host, phys *accelsim.Accel) (sim.Duration, error) {
-	failed := v.pending
-	v.pending = make(map[uint64]*accelPending)
-	d, err := v.Bind(owner, phys)
-	if err != nil {
-		return 0, err
-	}
-	v.remaps++
-	now := v.user.pod.Engine.Now()
-	for _, p := range failed {
-		v.jobErrors++
-		if p.onDone != nil {
-			p.onDone(now, nil, fmt.Errorf("core: job aborted by remap"))
-		}
-	}
-	return d, nil
+	return v.remap(v.Bind(owner, phys))
 }
 
 // Submit offloads input to the pooled accelerator. onDone receives the
 // output bytes in reusable scratch, valid only until the callback
 // returns (copy to retain).
 func (v *VirtualAccel) Submit(now sim.Time, input []byte, onDone func(now sim.Time, output []byte, err error)) (sim.Duration, error) {
-	if v.phys == nil {
+	if v.owner == nil {
 		return 0, ErrNotBound
 	}
 	if len(input) == 0 || len(input) > v.bufSize {
 		return 0, fmt.Errorf("%w: %d (max %d)", ErrIOTooLarge, len(input), v.bufSize)
 	}
-	if len(v.bufFree) == 0 {
-		return 0, ErrNoIOBuffer
-	}
-	buf := v.bufFree[len(v.bufFree)-1]
-	v.bufFree = v.bufFree[:len(v.bufFree)-1]
-	// Publish the input with software coherence.
-	d, err := v.user.cache.NTStore(now, buf, input)
-	if err != nil {
-		v.bufFree = append(v.bufFree, buf)
-		return 0, err
-	}
-	v.nextID++
-	id := v.nextID
-	outLen := v.phys.OutputLen(len(input))
-	v.pending[id] = &accelPending{buf: buf, start: now, outLen: outLen, onDone: onDone}
-	cmd := accelDesc{kind: accelKindCmd, inLen: uint32(len(input)), outLen: uint32(outLen), addr: buf, id: id, stamp: now}
-	sd, err := v.cmdSend.Send(now+d, cmd.encodeInto(v.descBuf[:]))
-	d += sd
-	if err != nil {
-		delete(v.pending, id)
-		v.bufFree = append(v.bufFree, buf)
-		return d, err
-	}
-	v.submitted++
-	return d, nil
+	return v.submit(now, 0, len(input), 0, input, onDone)
 }
 
-// handleOwner submits the job to the physical device; output goes to
-// the second half of the buffer slot.
-func (v *VirtualAccel) handleOwner(cur sim.Time, payload []byte) sim.Time {
-	d, err := decodeAccelDesc(payload)
-	if err != nil || d.kind != accelKindCmd {
-		return cur
-	}
-	cur += pcie.MMIOWriteLatency
-	outAddr := d.addr + mem.Address(v.bufSize)
-	comp := v.compSend
-	submitErr := v.phys.Submit(cur, d.addr, outAddr, int(d.inLen), func(j accelsim.Job) {
-		resp := accelDesc{kind: accelKindComp, inLen: d.inLen, outLen: uint32(j.OutputLen), addr: d.addr, id: d.id, stamp: d.stamp}
-		if _, err := comp.Send(v.owner.pod.Engine.Now(), resp.encode()); err != nil {
-			v.jobErrors++
-		}
+// startJob starts the job on the owner; the output goes to the second
+// half of the slot.
+func (v *VirtualAccel) startJob(cur sim.Time, d fwdDesc, comp *shm.Sender) error {
+	out := d.addr + mem.Address(v.bufSize)
+	return v.phys.Submit(cur, d.addr, out, int(d.n), func(j accelsim.Job) {
+		v.complete(comp, d, out, j.OutputLen, j.Err != nil)
 	})
-	if submitErr != nil {
-		v.jobErrors++
-		resp := accelDesc{kind: accelKindErr, inLen: d.inLen, addr: d.addr, id: d.id, stamp: d.stamp}
-		if _, err := comp.Send(cur, resp.encode()); err != nil {
-			v.jobErrors++
-		}
-	}
-	v.owner.agent.forwarded++
-	return cur
-}
-
-// handleUser streams the output back and completes the job.
-func (v *VirtualAccel) handleUser(cur sim.Time, payload []byte) sim.Time {
-	d, err := decodeAccelDesc(payload)
-	if err != nil || (d.kind != accelKindComp && d.kind != accelKindErr) {
-		return cur
-	}
-	p, ok := v.pending[d.id]
-	if !ok {
-		return cur
-	}
-	delete(v.pending, d.id)
-	var out []byte
-	var jobErr error
-	if d.kind == accelKindErr {
-		jobErr = fmt.Errorf("core: remote accelerator job failed")
-		v.jobErrors++
-	} else {
-		if cap(v.outBuf) < int(d.outLen) {
-			v.outBuf = make([]byte, d.outLen)
-		}
-		out = v.outBuf[:d.outLen]
-		rd, err := v.user.cache.ReadStream(cur, p.buf+mem.Address(v.bufSize), out)
-		cur += rd
-		if err != nil {
-			jobErr = err
-			out = nil
-		}
-	}
-	v.bufFree = append(v.bufFree, p.buf)
-	v.completed++
-	v.user.agent.completed++
-	if jobErr == nil {
-		v.Latency.Record(float64(cur - p.start))
-	}
-	if p.onDone != nil {
-		p.onDone(cur, out, jobErr)
-	}
-	return cur
 }

@@ -1,13 +1,9 @@
 package core
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
 
-	"cxlpool/internal/mem"
-	"cxlpool/internal/metrics"
-	"cxlpool/internal/pcie"
 	"cxlpool/internal/shm"
 	"cxlpool/internal/sim"
 	"cxlpool/internal/ssdsim"
@@ -19,104 +15,11 @@ import (
 // remote host's CPU and the owning host's SSD can reach them; commands
 // and completions travel over the shared-memory channels. Because NVMe
 // latencies are tens of microseconds, the sub-microsecond forwarding
-// cost is proportionally even smaller than for NICs.
+// cost is proportionally even smaller than for NICs. The transport,
+// with Name, Owner, Phys, Stats and Latency, is the embedded forwarder.
 type VirtualSSD struct {
-	name string
-	user *Host
-
-	owner *Host
-	phys  *ssdsim.SSD
-
-	cmdSend  *shm.Sender // user→owner commands
-	compSend *shm.Sender // owner→user completions
-	ownerSvc *service
-	userSvc  *service
-
-	bufSize  int
-	cfgBufs  int
-	cfgSlots int
-	bufFree  []mem.Address
-
-	nextID  uint64
-	pending map[uint64]*ssdPending
-
-	// descBuf stages descriptor encodes (consumed synchronously by
-	// channel Sends); dataBuf stages read payloads handed to onDone
-	// callbacks, valid only during the callback.
-	descBuf [40]byte
-	dataBuf []byte
-
-	// Stats.
-	submitted uint64
-	completed uint64
-	ioErrors  uint64
-	remaps    uint64
-
-	// Latency records user-visible end-to-end I/O latency.
-	Latency *metrics.Recorder
-}
-
-type ssdPending struct {
-	op     ssdsim.Op
-	buf    mem.Address
-	start  sim.Time
-	onDone func(now sim.Time, data []byte, err error)
-}
-
-// ssdCmd layout (<=56B): kind(1) op(1) pad(2) len(4) lba(8) addr(8)
-// id(8) stamp(8).
-const (
-	ssdKindCmd  uint8 = 10
-	ssdKindComp uint8 = 11
-	ssdKindErr  uint8 = 12
-)
-
-type ssdDesc struct {
-	kind  uint8
-	op    ssdsim.Op
-	n     uint32
-	lba   int64
-	addr  mem.Address
-	id    uint64
-	stamp sim.Time
-}
-
-// encodeInto packs the descriptor into dst (>= 40 bytes), overwriting
-// the full image so dst may be reused scratch.
-func (d ssdDesc) encodeInto(dst []byte) []byte {
-	buf := dst[:40]
-	for i := range buf {
-		buf[i] = 0
-	}
-	buf[0] = d.kind
-	buf[1] = uint8(d.op)
-	binary.LittleEndian.PutUint32(buf[4:8], d.n)
-	binary.LittleEndian.PutUint64(buf[8:16], uint64(d.lba))
-	binary.LittleEndian.PutUint64(buf[16:24], uint64(d.addr))
-	binary.LittleEndian.PutUint64(buf[24:32], d.id)
-	binary.LittleEndian.PutUint64(buf[32:40], uint64(d.stamp))
-	return buf
-}
-
-func (d ssdDesc) encode() []byte { return d.encodeInto(make([]byte, 40)) }
-
-func decodeSSDDesc(buf []byte) (ssdDesc, error) {
-	if len(buf) < 40 {
-		return ssdDesc{}, fmt.Errorf("core: short SSD descriptor (%d)", len(buf))
-	}
-	d := ssdDesc{
-		kind:  buf[0],
-		op:    ssdsim.Op(buf[1]),
-		n:     binary.LittleEndian.Uint32(buf[4:8]),
-		lba:   int64(binary.LittleEndian.Uint64(buf[8:16])),
-		addr:  mem.Address(binary.LittleEndian.Uint64(buf[16:24])),
-		id:    binary.LittleEndian.Uint64(buf[24:32]),
-		stamp: sim.Time(binary.LittleEndian.Uint64(buf[32:40])),
-	}
-	if d.kind != ssdKindCmd && d.kind != ssdKindComp && d.kind != ssdKindErr {
-		return ssdDesc{}, fmt.Errorf("core: unknown SSD descriptor kind %d", d.kind)
-	}
-	return d, nil
+	forwarder[*ssdsim.SSD]
+	bufSize int
 }
 
 // VSSDConfig sizes a virtual SSD.
@@ -141,229 +44,66 @@ func (c *VSSDConfig) defaults() {
 	}
 }
 
-// Errors.
-var (
-	ErrNoIOBuffer = errors.New("core: out of SSD I/O buffers (too many outstanding)")
-	ErrIOTooLarge = errors.New("core: I/O exceeds buffer size")
-)
+var ssdClass = fwdClass{
+	label:   "vSSD",
+	failed:  errors.New("core: remote SSD I/O failed"),
+	aborted: errors.New("core: I/O aborted by remap"),
+}
 
 // NewVirtualSSD creates an unbound virtual SSD for user.
 func NewVirtualSSD(user *Host, name string, cfg VSSDConfig) *VirtualSSD {
 	cfg.defaults()
-	return &VirtualSSD{
-		name:     name,
-		user:     user,
-		bufSize:  cfg.BufSize,
-		cfgBufs:  cfg.Buffers,
-		cfgSlots: cfg.ChannelSlots,
-		pending:  make(map[uint64]*ssdPending),
-		Latency:  metrics.NewRecorder(4096),
+	v := &VirtualSSD{
+		forwarder: newForwarder[*ssdsim.SSD](user, name, ssdClass, cfg.Buffers, cfg.ChannelSlots),
+		bufSize:   cfg.BufSize,
 	}
+	v.start = v.startIO
+	return v
 }
 
-// Name returns the device name.
-func (v *VirtualSSD) Name() string { return v.name }
-
-// Owner returns the serving host (nil when unbound).
-func (v *VirtualSSD) Owner() *Host { return v.owner }
-
-// Phys returns the backing SSD.
-func (v *VirtualSSD) Phys() *ssdsim.SSD { return v.phys }
-
-// Stats returns (submitted, completed, ioErrors, remaps).
-func (v *VirtualSSD) Stats() (submitted, completed, ioErrors, remaps uint64) {
-	return v.submitted, v.completed, v.ioErrors, v.remaps
-}
-
-// Bind attaches the virtual SSD to a physical SSD on owner.
+// Bind attaches the virtual SSD to a physical SSD on owner. A failed
+// Bind leaves the device unbound.
 func (v *VirtualSSD) Bind(owner *Host, phys *ssdsim.SSD) (sim.Duration, error) {
-	if v.phys != nil {
-		v.unbind()
-	}
-	pod := v.user.pod
-	cmdCh, err := pod.NewChannel(v.cfgSlots)
-	if err != nil {
-		return 0, err
-	}
-	compCh, err := pod.NewChannel(v.cfgSlots)
-	if err != nil {
-		return 0, err
-	}
-	v.owner = owner
-	v.phys = phys
-	// The SSD's DMA engine reaches the pool through the owner's address
-	// space.
-	phys.AttachHostMemory(owner.space)
-	v.cmdSend = cmdCh.NewSender(v.user.cache)
-	v.compSend = compCh.NewSender(owner.cache)
-	v.ownerSvc = owner.agent.addService(cmdCh.NewReceiver(owner.cache), v.handleOwner)
-	v.userSvc = v.user.agent.addService(compCh.NewReceiver(v.user.cache), v.handleUser)
-	for i := 0; i < v.cfgBufs; i++ {
-		a, err := pod.SharedAlloc(v.bufSize)
-		if err != nil {
-			return 0, fmt.Errorf("core: vSSD buffer pool: %w", err)
-		}
-		v.bufFree = append(v.bufFree, a)
-	}
-	return RemapLatency, nil
-}
-
-func (v *VirtualSSD) unbind() {
-	if v.ownerSvc != nil {
-		v.ownerSvc.active = false
-		v.ownerSvc = nil
-	}
-	if v.userSvc != nil {
-		v.userSvc.active = false
-		v.userSvc = nil
-	}
-	for _, a := range v.bufFree {
-		_ = v.user.pod.SharedFree(a)
-	}
-	v.bufFree = v.bufFree[:0]
-	v.owner = nil
-	v.phys = nil
-	v.cmdSend = nil
-	v.compSend = nil
+	return v.bind(owner, phys, v.bufSize)
 }
 
 // Remap rebinds to a different SSD (failover). Outstanding I/O on the
 // old device is failed back to callers.
 func (v *VirtualSSD) Remap(owner *Host, phys *ssdsim.SSD) (sim.Duration, error) {
-	failed := v.pending
-	v.pending = make(map[uint64]*ssdPending)
-	d, err := v.Bind(owner, phys)
-	if err != nil {
-		return 0, err
-	}
-	v.remaps++
-	now := v.user.pod.Engine.Now()
-	for _, p := range failed {
-		v.ioErrors++
-		if p.onDone != nil {
-			p.onDone(now, nil, fmt.Errorf("core: I/O aborted by remap"))
-		}
-	}
-	return d, nil
+	return v.remap(v.Bind(owner, phys))
 }
 
 // Read submits a read of n bytes at lba. onDone is invoked on the
 // user's agent with the data or an error; the data slice is reusable
 // scratch, valid only until the callback returns (copy to retain).
 func (v *VirtualSSD) Read(now sim.Time, lba int64, n int, onDone func(now sim.Time, data []byte, err error)) (sim.Duration, error) {
-	return v.submit(now, ssdsim.OpRead, lba, nil, n, onDone)
+	return v.io(now, ssdsim.OpRead, lba, nil, n, onDone)
 }
 
 // Write submits a write of data at lba.
 func (v *VirtualSSD) Write(now sim.Time, lba int64, data []byte, onDone func(now sim.Time, data []byte, err error)) (sim.Duration, error) {
-	return v.submit(now, ssdsim.OpWrite, lba, data, len(data), onDone)
+	return v.io(now, ssdsim.OpWrite, lba, data, len(data), onDone)
 }
 
-func (v *VirtualSSD) submit(now sim.Time, op ssdsim.Op, lba int64, data []byte, n int, onDone func(sim.Time, []byte, error)) (sim.Duration, error) {
-	if v.phys == nil {
+func (v *VirtualSSD) io(now sim.Time, op ssdsim.Op, lba int64, data []byte, n int, onDone func(sim.Time, []byte, error)) (sim.Duration, error) {
+	if v.owner == nil {
 		return 0, ErrNotBound
 	}
 	if n > v.bufSize {
 		return 0, fmt.Errorf("%w: %d > %d", ErrIOTooLarge, n, v.bufSize)
 	}
-	if len(v.bufFree) == 0 {
-		return 0, ErrNoIOBuffer
-	}
-	buf := v.bufFree[len(v.bufFree)-1]
-	v.bufFree = v.bufFree[:len(v.bufFree)-1]
-	var spent sim.Duration
-	if op == ssdsim.OpWrite {
-		// Software coherence: the payload must be in pool memory (not
-		// our cache) before the remote device DMA-reads it.
-		d, err := v.user.cache.NTStore(now, buf, data)
-		if err != nil {
-			v.bufFree = append(v.bufFree, buf)
-			return 0, err
-		}
-		spent += d
-	}
-	v.nextID++
-	id := v.nextID
-	v.pending[id] = &ssdPending{op: op, buf: buf, start: now, onDone: onDone}
-	cmd := ssdDesc{kind: ssdKindCmd, op: op, n: uint32(n), lba: lba, addr: buf, id: id, stamp: now}
-	sd, err := v.cmdSend.Send(now+spent, cmd.encodeInto(v.descBuf[:]))
-	spent += sd
-	if err != nil {
-		delete(v.pending, id)
-		v.bufFree = append(v.bufFree, buf)
-		return spent, err
-	}
-	v.submitted++
-	return spent, nil
+	return v.submit(now, uint8(op), n, lba, data, onDone)
 }
 
-// handleOwner runs on the owner's agent: submit the command to the
-// physical device; its completion publishes back to the user.
-func (v *VirtualSSD) handleOwner(cur sim.Time, payload []byte) sim.Time {
-	d, err := decodeSSDDesc(payload)
-	if err != nil || d.kind != ssdKindCmd {
-		return cur
-	}
-	cur += pcie.MMIOWriteLatency // NVMe SQ doorbell
-	comp := v.compSend
-	submitErr := v.phys.Submit(cur, d.op, d.lba, int(d.n), d.addr, func(c ssdsim.Completion) {
-		kind := ssdKindComp
-		if c.Err != nil {
-			kind = ssdKindErr
+// startIO rings the NVMe doorbell on the owner: a read lands its data
+// in the command's slot, which the completion names as the result.
+func (v *VirtualSSD) startIO(cur sim.Time, d fwdDesc, comp *shm.Sender) error {
+	op := ssdsim.Op(d.op)
+	return v.phys.Submit(cur, op, d.arg, int(d.n), d.addr, func(c ssdsim.Completion) {
+		n := 0
+		if op == ssdsim.OpRead {
+			n = int(d.n)
 		}
-		resp := ssdDesc{kind: kind, op: d.op, n: d.n, lba: d.lba, addr: d.addr, id: d.id, stamp: d.stamp}
-		if _, err := comp.Send(v.owner.pod.Engine.Now(), resp.encode()); err != nil {
-			v.ioErrors++
-		}
+		v.complete(comp, d, d.addr, n, c.Err != nil)
 	})
-	if submitErr != nil {
-		v.ioErrors++
-		resp := ssdDesc{kind: ssdKindErr, op: d.op, n: d.n, lba: d.lba, addr: d.addr, id: d.id, stamp: d.stamp}
-		if _, err := comp.Send(cur, resp.encode()); err != nil {
-			v.ioErrors++
-		}
-	}
-	v.owner.agent.forwarded++
-	return cur
-}
-
-// handleUser runs on the user's agent: fetch read data from the shared
-// buffer, invoke the callback, recycle the buffer.
-func (v *VirtualSSD) handleUser(cur sim.Time, payload []byte) sim.Time {
-	d, err := decodeSSDDesc(payload)
-	if err != nil || (d.kind != ssdKindComp && d.kind != ssdKindErr) {
-		return cur
-	}
-	p, ok := v.pending[d.id]
-	if !ok {
-		return cur // aborted by remap
-	}
-	delete(v.pending, d.id)
-	var data []byte
-	var ioErr error
-	if d.kind == ssdKindErr {
-		ioErr = fmt.Errorf("core: remote SSD I/O failed")
-		v.ioErrors++
-	} else if d.op == ssdsim.OpRead {
-		if cap(v.dataBuf) < int(d.n) {
-			v.dataBuf = make([]byte, d.n)
-		}
-		data = v.dataBuf[:d.n]
-		rd, err := v.user.cache.ReadStream(cur, d.addr, data)
-		cur += rd
-		if err != nil {
-			ioErr = err
-			data = nil
-		}
-	}
-	v.bufFree = append(v.bufFree, p.buf)
-	v.completed++
-	v.user.agent.completed++
-	if ioErr == nil {
-		v.Latency.Record(float64(cur - p.start))
-	}
-	if p.onDone != nil {
-		p.onDone(cur, data, ioErr)
-	}
-	return cur
 }
