@@ -65,7 +65,7 @@ type Pod struct {
 	hosts map[string]*Host
 	order []string
 
-	// sharedAlloc carves channels, locks, records, and I/O buffers out
+	// sharedAlloc carves channels, records, and I/O buffers out
 	// of the pool's shared segment. Addresses are identical from every
 	// host, which is what makes the channels work.
 	sharedAlloc *mem.Allocator

@@ -9,69 +9,6 @@ import (
 	"cxlpool/internal/sim"
 )
 
-// SpinLock is a test-and-set lock in shared CXL memory. CXL.mem carries
-// atomics from the host's perspective (the device serializes accesses),
-// so a remote CAS costs one round trip. Within the single-threaded
-// simulation, the read-modify-write executes atomically between events;
-// the returned latency is a full CXL read plus write.
-//
-// Lock words are one cacheline each to avoid false sharing with
-// neighboring data.
-type SpinLock struct {
-	addr mem.Address
-}
-
-// LockFootprint is the shared-memory cost of one lock.
-const LockFootprint = mem.CachelineSize
-
-// NewSpinLock places a lock at addr (cacheline aligned).
-func NewSpinLock(addr mem.Address) (*SpinLock, error) {
-	if addr%mem.CachelineSize != 0 {
-		return nil, errors.New("shm: lock address not cacheline aligned")
-	}
-	return &SpinLock{addr: addr}, nil
-}
-
-// TryLock attempts one acquisition through the given host cache. It
-// returns (acquired, latency). owner is an arbitrary nonzero tag written
-// into the lock word for debugging.
-func (l *SpinLock) TryLock(now sim.Time, c *cache.Cache, owner uint64) (bool, sim.Duration, error) {
-	if owner == 0 {
-		return false, 0, errors.New("shm: lock owner tag must be nonzero")
-	}
-	var word [8]byte
-	rd, err := c.ReadFresh(now, l.addr, word[:])
-	if err != nil {
-		return false, 0, err
-	}
-	if binary.LittleEndian.Uint64(word[:]) != 0 {
-		return false, rd, nil
-	}
-	binary.LittleEndian.PutUint64(word[:], owner)
-	wd, err := c.NTStore(now+rd, l.addr, word[:])
-	if err != nil {
-		return false, 0, err
-	}
-	return true, rd + wd, nil
-}
-
-// Unlock releases the lock. Only the owner should call it; the sim does
-// not police ownership beyond a corruption check.
-func (l *SpinLock) Unlock(now sim.Time, c *cache.Cache) (sim.Duration, error) {
-	var zero [8]byte
-	return c.NTStore(now, l.addr, zero[:])
-}
-
-// Holder returns the current owner tag (0 if free).
-func (l *SpinLock) Holder(now sim.Time, c *cache.Cache) (uint64, sim.Duration, error) {
-	var word [8]byte
-	d, err := c.ReadFresh(now, l.addr, word[:])
-	if err != nil {
-		return 0, 0, err
-	}
-	return binary.LittleEndian.Uint64(word[:]), d, nil
-}
-
 // SeqRecord publishes a fixed-size record (up to one cacheline of
 // payload) from one writer to many readers using a seqlock: the writer
 // bumps a sequence to odd, writes the payload, bumps to even; readers
