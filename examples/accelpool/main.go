@@ -1,11 +1,11 @@
 // accelpool demonstrates the §5 "soft accelerator disaggregation"
-// story: a specialized accelerator (here a computational-storage-style
-// device modeled on the SSD substrate) deployed at a 1:16 ratio —
-// sixteen hosts share one device through the CXL pool instead of each
-// rack slot carrying an idle accelerator.
+// story: one compression accelerator deployed at a 1:16 ratio —
+// sixteen hosts offload 4 KiB jobs to it through the CXL pool (each
+// through a core.VirtualAccel) instead of each rack slot carrying an
+// idle accelerator.
 //
-// The example measures per-host latency as the device is shared more
-// widely, showing the utilization-vs-queueing tradeoff the pooling
+// The example measures per-host offload latency as the device is shared
+// more widely, showing the utilization-vs-queueing tradeoff the pooling
 // orchestrator navigates.
 package main
 
@@ -13,14 +13,17 @@ import (
 	"fmt"
 	"log"
 
+	"cxlpool/internal/accelsim"
 	"cxlpool/internal/core"
 	"cxlpool/internal/metrics"
 	"cxlpool/internal/sim"
-	"cxlpool/internal/ssdsim"
 )
 
 func main() {
-	const hosts = 16
+	const (
+		hosts = 16
+		job   = 4 << 10
+	)
 	pod, err := core.NewPod(core.Config{
 		Hosts:       hosts,
 		NICsPerHost: 0,
@@ -33,30 +36,30 @@ func main() {
 	}
 	// One accelerator in the whole pod, attached to host0.
 	owner, _ := pod.Host("host0")
-	accel, err := owner.AddSSD("accel0", 1<<28)
-	if err != nil {
-		log.Fatal(err)
-	}
+	accel := accelsim.New("accel0", pod.Engine, accelsim.Compression)
 	fmt.Printf("1 accelerator, %d hosts, ratio 1:%d\n", hosts, hosts)
 
 	// Every host gets a virtual handle on the same physical device.
-	handles := make([]*core.VirtualSSD, hosts)
+	handles := make([]*core.VirtualAccel, hosts)
 	for i := 0; i < hosts; i++ {
 		h, err := pod.Host(fmt.Sprintf("host%d", i))
 		if err != nil {
 			log.Fatal(err)
 		}
-		v := core.NewVirtualSSD(h, fmt.Sprintf("vaccel%d", i), core.VSSDConfig{Buffers: 8})
+		v := core.NewVirtualAccel(h, fmt.Sprintf("vaccel%d", i), core.VAccelConfig{BufSize: job})
 		if _, err := v.Bind(owner, accel); err != nil {
 			log.Fatal(err)
 		}
 		handles[i] = v
 	}
 
-	// Offered load sweep: each host issues one 4K op every `gap`.
+	// Offered load sweep: each host offloads one 4 KiB job every 400 us.
+	input := make([]byte, job)
+	for i := range input {
+		input[i] = byte(i)
+	}
 	for _, sharers := range []int{1, 4, 16} {
 		lat := metrics.NewRecorder(4096)
-		issued := 0
 		start := pod.Engine.Now()
 		end := start + 20*sim.Millisecond
 		for i := 0; i < sharers; i++ {
@@ -66,14 +69,12 @@ func main() {
 				if t > end {
 					return
 				}
-				_, err := v.Read(t, int64(issued%1024)*ssdsim.SectorSize, ssdsim.SectorSize,
-					func(now sim.Time, _ []byte, err error) {
-						if err == nil {
-							lat.Record(float64(now - t))
-						}
-					})
-				if err == nil {
-					issued++
+				if _, err := v.Submit(t, input, func(now sim.Time, _ []byte, err error) {
+					if err == nil {
+						lat.Record(float64(now - t))
+					}
+				}); err != nil {
+					log.Fatal(err)
 				}
 				pod.Engine.At(t+400*sim.Microsecond, func() { loop(t + 400*sim.Microsecond) })
 			}
