@@ -148,9 +148,8 @@ func (c *Cluster) Admit(t *Tenant) (AdmitResult, error) {
 		return AdmitResult{Rack: -1}, fmt.Errorf("%w: tenant %s home %d", ErrUnknownRack, t.Name, t.Home)
 	}
 	service := admitLookupCost
-	thr := c.cfg.PressureThreshold
 	home := &c.summaries[t.Home]
-	if home.fits(t.gbps, thr) {
+	if home.fits(t.gbps, pressureThreshold) {
 		// Reserve against the cache, then bind; a failed bind must
 		// credit the reservation back (regression-pinned) before the
 		// spill probe looks at the summaries.
@@ -165,7 +164,7 @@ func (c *Cluster) Admit(t *Tenant) (AdmitResult, error) {
 	}
 	// One spill probe: the shared ranker over the cached summaries alone.
 	cand := c.rankSpill(t, t.Home,
-		func(i int) bool { return c.summaries[i].fits(t.gbps, thr) },
+		func(i int) bool { return c.summaries[i].fits(t.gbps, pressureThreshold) },
 		func(i int) float64 { return c.summaries[i].usedGbps / c.summaries[i].capGbps })
 	if cand < 0 {
 		reason := RejectNoCapacity

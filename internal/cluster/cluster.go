@@ -49,11 +49,11 @@ import (
 const (
 	// DefaultEpoch is the per-round simulated horizon.
 	DefaultEpoch sim.Duration = 2 * sim.Millisecond
-	// DefaultPressureThreshold is the offered-demand fraction of rack
-	// NIC capacity above which placement spills to a remote rack.
-	DefaultPressureThreshold = 0.7
+	// pressureThreshold is the offered-demand fraction of rack NIC
+	// capacity above which placement spills to a remote rack.
+	pressureThreshold = 0.7
 	// DefaultTenantState is the device state streamed on a cross-rack
-	// migration (buffers, rings, mappings).
+	// migration (buffers, rings, mappings), in bytes.
 	DefaultTenantState = 16 << 20
 	// tenantCapGbps bounds one tenant's demand: a single flow cannot
 	// drive more than roughly one pooled 100 Gbps device.
@@ -81,21 +81,14 @@ type Config struct {
 	TenantsPerRack int
 	// Seed drives every rack engine and the demand sampler.
 	Seed int64
-	// Policy is each rack orchestrator's allocation policy
-	// (default LocalFirst).
-	Policy orch.Policy
 	// Epoch is the per-round simulated horizon (default DefaultEpoch).
 	Epoch sim.Duration
-	// PressureThreshold gates local placement (default 0.7).
-	PressureThreshold float64
 	// Federate enables cross-rack spill, migration, and drains; when
 	// false the cluster degenerates to isolated racks (the paper's
 	// no-pooling baseline, one level up).
 	Federate bool
 	// Skew is the demand schedule (Racks is filled in automatically).
 	Skew workload.RackSkew
-	// TenantState is bytes streamed per cross-rack move (default 16 MiB).
-	TenantState int
 	// Workers bounds parallel rack simulation (<= 0: GOMAXPROCS).
 	Workers int
 	// Faults is the deterministic fault schedule injected into the
@@ -141,12 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Epoch <= 0 {
 		c.Epoch = DefaultEpoch
-	}
-	if c.PressureThreshold <= 0 {
-		c.PressureThreshold = DefaultPressureThreshold
-	}
-	if c.TenantState <= 0 {
-		c.TenantState = DefaultTenantState
 	}
 	c.Skew.Racks = c.Topo.RackCount()
 	return c
@@ -515,7 +502,7 @@ func (c *Cluster) buildRack(idx int) (*Rack, error) {
 	for i := range rack.payload {
 		rack.payload[i] = byte(i)
 	}
-	o, err := orch.New(pod, "host0", cfg.Policy)
+	o, err := orch.New(pod, "host0", orch.LocalFirst)
 	if err != nil {
 		return nil, err
 	}
@@ -733,7 +720,7 @@ func (c *Cluster) place(t *Tenant) error {
 	home := c.racks[t.Home]
 	if c.cfg.Federate {
 		homeOK := c.canServe(t, t.Home) &&
-			(c.offeredGbps(t.Home)+t.gbps)/home.effCapacityGbps() <= c.cfg.PressureThreshold
+			(c.offeredGbps(t.Home)+t.gbps)/home.effCapacityGbps() <= pressureThreshold
 		if !homeOK {
 			if cold := c.coldestRackFor(t, t.Home); cold >= 0 {
 				target, spilled = cold, true
@@ -814,7 +801,7 @@ func (c *Cluster) migrate(t *Tenant, dst int) (sim.Duration, error) {
 	var cost sim.Duration
 	if src >= 0 {
 		c.migratedOut.Add(c.racks[src].Name, 1)
-		_, cost = c.spine.Transfer(c.spineClock(), src, dst, c.cfg.TenantState)
+		_, cost = c.spine.Transfer(c.spineClock(), src, dst, DefaultTenantState)
 		c.MigrationTime.Record(float64(cost))
 		if c.cfg.Topo.SameRow(src, dst) {
 			c.sameRowMigs++
@@ -847,7 +834,6 @@ func (c *Cluster) globalSweep() (migrations, repatriations int, err error) {
 	if !c.cfg.Federate {
 		return 0, 0, nil
 	}
-	thr := c.cfg.PressureThreshold
 	// Repatriation first: it frees remote capacity for new spills.
 	for _, t := range c.tenants {
 		if t.rack < 0 || t.rack == t.Home ||
@@ -857,7 +843,7 @@ func (c *Cluster) globalSweep() (migrations, repatriations int, err error) {
 		// Hysteresis: come home only if home stays clearly below the
 		// spill threshold with the tenant's demand back.
 		if c.canServe(t, t.Home) &&
-			(c.offeredGbps(t.Home)+t.gbps)/c.racks[t.Home].effCapacityGbps() <= thr*0.85 {
+			(c.offeredGbps(t.Home)+t.gbps)/c.racks[t.Home].effCapacityGbps() <= pressureThreshold*0.85 {
 			if _, err := c.migrate(t, t.Home); err != nil {
 				// Rack-local resource exhaustion (a segment filled by
 				// fault pile-ons): the tenant is left unplaced and the
@@ -884,7 +870,7 @@ func (c *Cluster) globalSweep() (migrations, repatriations int, err error) {
 				hot, hotP = i, p
 			}
 		}
-		if hot < 0 || hotP <= thr {
+		if hot < 0 || hotP <= pressureThreshold {
 			break
 		}
 		// Largest resident tenant whose move does not just swap the
@@ -900,7 +886,7 @@ func (c *Cluster) globalSweep() (migrations, repatriations int, err error) {
 			if dst < 0 {
 				continue
 			}
-			if (c.offeredGbps(dst)+t.gbps)/c.racks[dst].effCapacityGbps() > thr {
+			if (c.offeredGbps(dst)+t.gbps)/c.racks[dst].effCapacityGbps() > pressureThreshold {
 				continue
 			}
 			if pick == nil || t.gbps > pick.gbps {

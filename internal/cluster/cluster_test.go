@@ -71,7 +71,7 @@ func TestHotspotSpillsToRemoteRacks(t *testing.T) {
 	// (total demand fits the cluster comfortably).
 	last := stats[len(stats)-1]
 	for i, p := range last.Pressure {
-		if p > DefaultPressureThreshold+0.05 {
+		if p > pressureThreshold+0.05 {
 			t.Fatalf("rack %d pressure %.2f above threshold despite federation", i, p)
 		}
 	}

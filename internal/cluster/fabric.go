@@ -60,7 +60,7 @@ func (c *Cluster) InterRackTier(a, b int) Tier {
 // move is dearer than a same-row one.
 func (c *Cluster) MigrationCost(src, dst int) sim.Duration {
 	p := c.spine.Path(src, dst)
-	return p.RTT() + p.Bandwidth.TransferTime(c.cfg.TenantState)
+	return p.RTT() + p.Bandwidth.TransferTime(DefaultTenantState)
 }
 
 // RemotePenalty is the extra per-operation latency a spilled tenant

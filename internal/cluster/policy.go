@@ -677,7 +677,7 @@ func (c *Cluster) repatriateHome(idx int, budget *int) int {
 			continue
 		}
 		if cap := home.effCapacityGbps() * home.capScale; cap == 0 ||
-			(c.offeredGbps(idx)+t.gbps)/cap > c.cfg.PressureThreshold {
+			(c.offeredGbps(idx)+t.gbps)/cap > pressureThreshold {
 			continue
 		}
 		if !c.spend(budget) {

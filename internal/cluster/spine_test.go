@@ -176,7 +176,7 @@ func TestStackedBrownoutsFloorMigrationCost(t *testing.T) {
 	})
 	quarter := c.MigrationCost(0, 1)
 	base := c.cfg.Topo.RackPath(0, 1)
-	wantQuarter := base.RTT() + mem.GBps(float64(base.Bandwidth)*0.25).TransferTime(c.cfg.TenantState)
+	wantQuarter := base.RTT() + mem.GBps(float64(base.Bandwidth)*0.25).TransferTime(DefaultTenantState)
 	if quarter != wantQuarter {
 		t.Fatalf("two 0.5 brownouts: cost %v, want multiplicative %v", quarter, wantQuarter)
 	}
@@ -187,7 +187,7 @@ func TestStackedBrownoutsFloorMigrationCost(t *testing.T) {
 	}
 	c.spine.SetBrownouts(stack)
 	floored := c.MigrationCost(0, 1)
-	wantFloor := base.RTT() + mem.GBps(float64(base.Bandwidth)*spine.MinPathScale).TransferTime(c.cfg.TenantState)
+	wantFloor := base.RTT() + mem.GBps(float64(base.Bandwidth)*spine.MinPathScale).TransferTime(DefaultTenantState)
 	if floored != wantFloor {
 		t.Fatalf("stacked brownouts: cost %v, want floored %v (healthy %v)", floored, wantFloor, healthy)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"slices"
 
@@ -10,6 +11,12 @@ import (
 	"cxlpool/internal/pcie"
 	"cxlpool/internal/shm"
 	"cxlpool/internal/sim"
+)
+
+// Errors of the forwarded devices (VirtualSSD, VirtualAccel).
+var (
+	ErrNoIOBuffer = errors.New("core: out of I/O buffer slots (too many outstanding)")
+	ErrIOTooLarge = errors.New("core: I/O exceeds buffer size")
 )
 
 // forwarder is the transport shared by the pooled block-style devices
@@ -282,7 +289,7 @@ func (f *forwarder[P]) handleOwner(cur sim.Time, payload []byte) sim.Time {
 	}
 	cur += pcie.MMIOWriteLatency // device doorbell
 	if err := f.start(cur, d, f.compSend); err != nil {
-		f.errs++
+		// The user side counts the failure when the reply lands.
 		d.kind = fwdErr
 		f.reply(cur, f.compSend, d)
 	}

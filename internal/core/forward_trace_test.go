@@ -199,9 +199,9 @@ func TestForwarderTracePinned(t *testing.T) {
 		"crypt#19 t=769348 n=5120 sum=335360 err=<nil>",
 		"ssd-r#17 t=788227 n=12288 sum=1566720 err=<nil>",
 		"ssd-r#19 t=841766 n=4096 sum=522240 err=<nil>",
-		"stats vs 20 20 6 0 latency=1.212359e+06",
-		"stats vc 10 10 4 0 latency=66560",
-		"stats vk 10 10 2 0 latency=78191",
+		"stats vs 20 20 3 0 latency=1.212359e+06",
+		"stats vc 10 10 2 0 latency=66560",
+		"stats vk 10 10 1 0 latency=78191",
 		"events=10966 rand=10826034587287484071",
 	}
 	for i := 0; i < len(got) || i < len(want); i++ {

@@ -32,6 +32,13 @@ import (
 // base (a high address), so the two never collide.
 const HostDDRBase mem.Address = 0
 
+const (
+	// podDevices is the pod's MHD count.
+	podDevices = 2
+	// hostDDR is each host's private DRAM, for comparison paths.
+	hostDDR = 16 << 20
+)
+
 // Config sizes a pod for pooling experiments.
 type Config struct {
 	// Hosts is the number of hosts to attach (named "host0"...).
@@ -41,12 +48,8 @@ type Config struct {
 	NICsPerHost int
 	// DeviceSize is CXL media bytes per MHD (default 64 MiB).
 	DeviceSize int
-	// Devices is the MHD count (default 2).
-	Devices int
 	// SharedSize is the software-coherent shared segment (default 16 MiB).
 	SharedSize int
-	// HostDDR is per-host private DRAM for comparison paths (default 16 MiB).
-	HostDDR int
 	// AgentPollInterval is the pooling agents' channel polling cadence
 	// (default: spin, ~300 ns effective).
 	AgentPollInterval sim.Duration
@@ -82,24 +85,18 @@ func NewPod(cfg Config) (*Pod, error) {
 	if cfg.Hosts <= 0 {
 		return nil, errors.New("core: pod needs at least one host")
 	}
-	if cfg.Devices <= 0 {
-		cfg.Devices = 2
-	}
 	if cfg.DeviceSize <= 0 {
 		cfg.DeviceSize = 64 << 20
 	}
 	if cfg.SharedSize <= 0 {
 		cfg.SharedSize = 16 << 20
 	}
-	if cfg.HostDDR <= 0 {
-		cfg.HostDDR = 16 << 20
-	}
 	if cfg.NICsPerHost < 0 {
 		return nil, errors.New("core: negative NICsPerHost")
 	}
 	engine := sim.NewEngine(cfg.Seed)
 	cxlPod, err := cxl.NewPod("pod", cxl.PodConfig{
-		Devices:        cfg.Devices,
+		Devices:        podDevices,
 		PortsPerDevice: cxl.MaxMHDPorts,
 		DeviceSize:     cfg.DeviceSize,
 		SharedSize:     cfg.SharedSize,
@@ -179,9 +176,9 @@ func (p *Pod) AttachHost(name string) (*Host, error) {
 	if err != nil {
 		return nil, err
 	}
-	ddr := mem.NewRegion(name+"/ddr", HostDDRBase, p.cfg.HostDDR, cxl.DDRTiming(), p.Engine.Rand().Fork())
+	ddr := mem.NewRegion(name+"/ddr", HostDDRBase, hostDDR, cxl.DDRTiming(), p.Engine.Rand().Fork())
 	space := mem.NewAddressSpace()
-	if err := space.Add(ddr, HostDDRBase, p.cfg.HostDDR); err != nil {
+	if err := space.Add(ddr, HostDDRBase, hostDDR); err != nil {
 		return nil, err
 	}
 	if err := space.Add(att.Memory(), p.CXL.Devices()[0].Base(), p.CXL.Capacity()); err != nil {

@@ -25,8 +25,6 @@ var (
 	ErrNotBound    = errors.New("core: virtual NIC not bound to a physical NIC")
 	ErrNoTxBuffer  = errors.New("core: out of TX buffers (completions lagging)")
 	ErrPayloadSize = errors.New("core: payload exceeds buffer size")
-	ErrNoIOBuffer  = errors.New("core: out of SSD I/O buffers (too many outstanding)")
-	ErrIOTooLarge  = errors.New("core: I/O exceeds buffer size")
 )
 
 // VNICConfig sizes a virtual NIC.

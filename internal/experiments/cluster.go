@@ -61,7 +61,7 @@ func runClusterFederation(_ context.Context, p *params.Set) (*report.Report, err
 		nDomains, spec.Hosts, cfg.TenantsPerRack, cfg.Skew.HotFactor)
 	r.Linef("fabric: %v; %v; migration %v for %d MiB state",
 		c.IntraRackTier(), c.InterRackTier(0, 1),
-		c.MigrationCost(0, 1), cfg.TenantState>>20)
+		c.MigrationCost(0, 1), cluster.DefaultTenantState>>20)
 	r.Blank()
 
 	cols := []report.Column{

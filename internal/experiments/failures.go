@@ -162,12 +162,33 @@ func runFailures(_ context.Context, p *params.Set) (*report.Report, error) {
 	cfg.Faults = sched
 	cfg.Crews = p.Int("crews")
 	policyOn := p.Str("policy") == "on"
+
+	// Headline: the remediation-throttle sweep. Same fleet, schedule,
+	// and crews — only the evacuation rules' token bucket varies — so
+	// the table is the availability-vs-re-placement-bill trade the rate
+	// limiter buys: tighter limits spread the bill over more heartbeats
+	// at the cost of longer exposure. The sections after it detail the
+	// variant -policy names ("unlimited" is the default rules, "off" no
+	// rules), so each configuration runs once.
+	detail := "off"
 	if policyOn {
-		cfg.Remediate = cluster.DefaultRules()
+		detail = "unlimited"
 	}
-	c, err := cluster.New(cfg)
-	if err != nil {
-		return nil, err
+	variants := policyVariants()
+	outs := make([]policyOutcome, len(variants))
+	var c *cluster.Cluster
+	var stats []cluster.EpochStats
+	for i, v := range variants {
+		vc := cfg
+		vc.Remediate = v.rules
+		vcl, vstats, out, err := runPolicyVariant(vc, epochs)
+		if err != nil {
+			return nil, err
+		}
+		outs[i] = out
+		if v.key == detail {
+			c, stats = vcl, vstats
+		}
 	}
 	cfg = c.Config()
 	t := cfg.Topo
@@ -190,21 +211,11 @@ func runFailures(_ context.Context, p *params.Set) (*report.Report, error) {
 	}
 	r.Blank()
 
-	// Headline: the remediation-throttle sweep. Same fleet, schedule,
-	// and crews — only the evacuation rules' token bucket varies — so
-	// the table is the availability-vs-re-placement-bill trade the rate
-	// limiter buys: tighter limits spread the bill over more heartbeats
-	// at the cost of longer exposure.
 	pt := r.AddTable("policy_sweep",
 		report.StrCol("policy"), report.NumCol("availability"),
 		report.NumCol("moves"), report.NumCol("downtime ms"), report.NumCol("throttled"))
-	for _, v := range policyVariants() {
-		vc := cfg
-		vc.Remediate = v.rules
-		out, err := runPolicyVariant(vc, epochs)
-		if err != nil {
-			return nil, err
-		}
+	for i, v := range variants {
+		out := outs[i]
 		pt.Row(report.Str(v.name),
 			report.Num(out.avail, "%.4f"),
 			report.Num(float64(out.moves), "%d", out.moves),
@@ -244,10 +255,6 @@ func runFailures(_ context.Context, p *params.Set) (*report.Report, error) {
 	var baseSum, queueSum float64
 	var baseN, totalActs, peakQueue int
 	minGoodput := 1.0
-	stats, err := c.Run(epochs)
-	if err != nil {
-		return nil, err
-	}
 	for e, st := range stats {
 		off, del := fleetGbps(st)
 		g := 0.0
@@ -410,14 +417,16 @@ type policyOutcome struct {
 }
 
 // runPolicyVariant rides the shared schedule out on a fresh cluster
-// under one rule set and tallies the trade.
-func runPolicyVariant(cfg cluster.Config, epochs int) (policyOutcome, error) {
+// under one rule set and tallies the trade. It returns the cluster and
+// its per-epoch stats for the detailed sections.
+func runPolicyVariant(cfg cluster.Config, epochs int) (*cluster.Cluster, []cluster.EpochStats, policyOutcome, error) {
 	c, err := cluster.New(cfg)
 	if err != nil {
-		return policyOutcome{}, err
+		return nil, nil, policyOutcome{}, err
 	}
-	if _, err := c.Run(epochs); err != nil {
-		return policyOutcome{}, err
+	stats, err := c.Run(epochs)
+	if err != nil {
+		return nil, nil, policyOutcome{}, err
 	}
 	dead, total := c.SimulatedRackOutage()
 	out := policyOutcome{avail: 1, throttled: c.ThrottledActions()}
@@ -427,5 +436,5 @@ func runPolicyVariant(cfg cluster.Config, epochs int) (policyOutcome, error) {
 	var downtime sim.Duration
 	out.moves, downtime = c.RemediationCost()
 	out.downtimeMs = downtime.Seconds() * 1e3
-	return out, nil
+	return c, stats, out, nil
 }

@@ -171,7 +171,8 @@ func TestFailuresCrewsQueueRepairs(t *testing.T) {
 
 // The headline policy-threshold sweep: tighter rate limits trade
 // availability for a smaller per-heartbeat re-placement bill, and the
-// off/unlimited ends of the table agree with the headline scalars.
+// detailed sections report the sweep row -policy names (unlimited for
+// on, off for off) exactly.
 func TestFailuresPolicySweepTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet simulation in -short mode")
@@ -185,12 +186,23 @@ func TestFailuresPolicySweepTable(t *testing.T) {
 	if scalar(t, rep, "sweep.off.moves") != 0 {
 		t.Error("policy off variant recorded moves")
 	}
-	// The default run IS the unlimited variant: same fleet, same rules.
-	pinScalar(t, rep, "sweep.unlimited.moves", scalar(t, rep, "replacement.moves"))
-	pinScalar(t, rep, "sweep.unlimited.availability", scalar(t, rep, "availability.simulated"))
 	for _, key := range []string{"limit1", "limit2"} {
 		if scalar(t, rep, "sweep."+key+".moves") > scalar(t, rep, "sweep.unlimited.moves") {
 			t.Errorf("rate-limited variant %s moved more than unlimited", key)
+		}
+	}
+	off := runScenario(t, "failures", 42, map[string]string{"policy": "off"})
+	for _, c := range []struct {
+		rep *report.Report
+		key string
+	}{{rep, "unlimited"}, {off, "off"}} {
+		for _, pair := range [][2]string{
+			{"availability.simulated", "availability"},
+			{"replacement.moves", "moves"},
+		} {
+			if got, want := scalar(t, c.rep, pair[0]), scalar(t, c.rep, "sweep."+c.key+"."+pair[1]); got != want {
+				t.Errorf("%s = %v, want sweep.%s.%s = %v", pair[0], got, c.key, pair[1], want)
+			}
 		}
 	}
 }

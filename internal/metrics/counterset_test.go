@@ -48,12 +48,4 @@ func TestCounterSetFeedsReport(t *testing.T) {
 		r.Scalars[1].Name != "migrations.rack0" || r.Scalars[1].Value != 2 {
 		t.Fatalf("AppendScalars = %+v (want first-Add order)", r.Scalars)
 	}
-
-	tb := s.ReportTable("migrations")
-	if len(tb.Rows) != 2 || tb.Rows[0][0].Text != "rack1" || tb.Rows[0][1].Num != 7 {
-		t.Fatalf("ReportTable rows = %+v", tb.Rows)
-	}
-	if tb.Rows[1][1].Text != "2" {
-		t.Fatalf("count cell text = %q, want rendered integer", tb.Rows[1][1].Text)
-	}
 }

@@ -1,7 +1,6 @@
 // Package metrics provides the measurement primitives used by every
 // experiment in this repository: streaming latency recorders with exact
-// percentiles, log-bucketed histograms, CDF extraction, and throughput
-// counters.
+// percentiles, CDF extraction, and ordered counter sets.
 //
 // Experiments record simulated durations (internal/sim.Time deltas) and
 // report the same statistics the paper plots: p50/p90/p99 latency
@@ -186,90 +185,6 @@ func (s Summary) String() string {
 		s.Count, s.Mean, s.P50, s.P90, s.P99, s.Max)
 }
 
-// Histogram is a log₂-bucketed histogram for cheap, bounded-memory counts
-// when exact percentiles are not needed (e.g. long orchestrator runs).
-type Histogram struct {
-	buckets [64]uint64
-	count   uint64
-	sum     float64
-}
-
-// Observe adds a non-negative value; negative values count in bucket 0.
-func (h *Histogram) Observe(v float64) {
-	h.count++
-	h.sum += v
-	if v < 1 {
-		h.buckets[0]++
-		return
-	}
-	b := int(math.Log2(v)) + 1
-	if b < 0 {
-		b = 0
-	}
-	if b >= len(h.buckets) {
-		b = len(h.buckets) - 1
-	}
-	h.buckets[b]++
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count }
-
-// Mean returns the mean of observations.
-func (h *Histogram) Mean() float64 {
-	if h.count == 0 {
-		return 0
-	}
-	return h.sum / float64(h.count)
-}
-
-// Quantile returns an upper bound of the q-quantile (0<=q<=1) from bucket
-// boundaries.
-func (h *Histogram) Quantile(q float64) float64 {
-	if h.count == 0 {
-		return 0
-	}
-	target := uint64(q * float64(h.count))
-	if target >= h.count {
-		target = h.count - 1
-	}
-	var cum uint64
-	for i, c := range h.buckets {
-		cum += c
-		if cum > target {
-			if i == 0 {
-				return 1
-			}
-			return math.Pow(2, float64(i))
-		}
-	}
-	return math.Pow(2, float64(len(h.buckets)))
-}
-
-// Counter accumulates a monotone count (bytes, packets, operations) and
-// converts to a rate over a simulated interval.
-type Counter struct {
-	n uint64
-}
-
-// Add increments the counter by d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
-
-// Reset zeroes the counter.
-func (c *Counter) Reset() { c.n = 0 }
-
-// RatePerSec converts the count into a per-second rate given an elapsed
-// simulated duration in nanoseconds.
-func (c *Counter) RatePerSec(elapsedNs int64) float64 {
-	if elapsedNs <= 0 {
-		return 0
-	}
-	return float64(c.n) / (float64(elapsedNs) / 1e9)
-}
-
 // CounterSet is an ordered collection of named counters: per-rack
 // placements, cross-rack migrations, drain tallies in the cluster
 // layer. Names iterate in first-Add order, so rendering a set is
@@ -321,60 +236,6 @@ func (s *CounterSet) String() string {
 			b.WriteByte(' ')
 		}
 		fmt.Fprintf(&b, "%s=%d", n, s.vals[n])
-	}
-	return b.String()
-}
-
-// Table is a minimal fixed-width text table writer used by the benchmark
-// harness to print the paper's rows.
-type Table struct {
-	header []string
-	rows   [][]string
-}
-
-// NewTable creates a table with the given column headers.
-func NewTable(header ...string) *Table {
-	return &Table{header: header}
-}
-
-// AddRow appends a row; short rows are padded with empty cells.
-func (t *Table) AddRow(cells ...string) {
-	row := make([]string, len(t.header))
-	copy(row, cells)
-	t.rows = append(t.rows, row)
-}
-
-// String renders the table with aligned columns.
-func (t *Table) String() string {
-	widths := make([]int, len(t.header))
-	for i, h := range t.header {
-		widths[i] = len(h)
-	}
-	for _, row := range t.rows {
-		for i, c := range row {
-			if i < len(widths) && len(c) > widths[i] {
-				widths[i] = len(c)
-			}
-		}
-	}
-	var b strings.Builder
-	writeRow := func(cells []string) {
-		for i, c := range cells {
-			if i > 0 {
-				b.WriteString("  ")
-			}
-			fmt.Fprintf(&b, "%-*s", widths[i], c)
-		}
-		b.WriteByte('\n')
-	}
-	writeRow(t.header)
-	sep := make([]string, len(t.header))
-	for i := range sep {
-		sep[i] = strings.Repeat("-", widths[i])
-	}
-	writeRow(sep)
-	for _, row := range t.rows {
-		writeRow(row)
 	}
 	return b.String()
 }

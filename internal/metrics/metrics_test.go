@@ -191,97 +191,6 @@ func TestSummary(t *testing.T) {
 	}
 }
 
-func TestHistogramQuantileBounds(t *testing.T) {
-	var h Histogram
-	for i := 0; i < 1000; i++ {
-		h.Observe(100)
-	}
-	if h.Count() != 1000 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Mean() != 100 {
-		t.Fatalf("mean = %f", h.Mean())
-	}
-	q := h.Quantile(0.5)
-	// 100 falls in bucket [64,128): upper bound 128.
-	if q != 128 {
-		t.Fatalf("q50 = %f, want 128", q)
-	}
-}
-
-func TestHistogramEmptyAndSmall(t *testing.T) {
-	var h Histogram
-	if h.Quantile(0.5) != 0 || h.Mean() != 0 {
-		t.Fatal("empty histogram should return zeros")
-	}
-	h.Observe(0.5)
-	if h.Quantile(0.5) != 1 {
-		t.Fatalf("sub-1 values should land in bucket 0: %f", h.Quantile(0.5))
-	}
-	h.Observe(-3)
-	if h.Count() != 2 {
-		t.Fatal("negative observation not counted")
-	}
-}
-
-func TestHistogramQuantileMonotone(t *testing.T) {
-	var h Histogram
-	vals := []float64{1, 2, 4, 8, 16, 32, 64, 128, 1024, 65536}
-	for _, v := range vals {
-		for i := 0; i < 10; i++ {
-			h.Observe(v)
-		}
-	}
-	prev := 0.0
-	for q := 0.0; q <= 1.0; q += 0.1 {
-		v := h.Quantile(q)
-		if v < prev {
-			t.Fatalf("quantile not monotone at %f: %f < %f", q, v, prev)
-		}
-		prev = v
-	}
-}
-
-func TestCounterRate(t *testing.T) {
-	var c Counter
-	c.Add(1000)
-	if c.Value() != 1000 {
-		t.Fatalf("value = %d", c.Value())
-	}
-	// 1000 ops over 1 ms = 1e6 ops/s.
-	if got := c.RatePerSec(1_000_000); got != 1e6 {
-		t.Fatalf("rate = %f", got)
-	}
-	if got := c.RatePerSec(0); got != 0 {
-		t.Fatalf("rate with zero elapsed = %f", got)
-	}
-	c.Reset()
-	if c.Value() != 0 {
-		t.Fatal("reset failed")
-	}
-}
-
-func TestTableRendering(t *testing.T) {
-	tb := NewTable("name", "value")
-	tb.AddRow("alpha", "1")
-	tb.AddRow("b", "22222")
-	out := tb.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 4 {
-		t.Fatalf("table lines = %d:\n%s", len(lines), out)
-	}
-	if !strings.HasPrefix(lines[0], "name") {
-		t.Fatalf("header: %q", lines[0])
-	}
-	// All rows aligned to same width.
-	if len(lines[2]) > len(lines[0])+10 {
-		t.Fatalf("row widths inconsistent:\n%s", out)
-	}
-	// Short row padding must not panic.
-	tb.AddRow("only-one-cell")
-	_ = tb.String()
-}
-
 func BenchmarkRecorderRecord(b *testing.B) {
 	r := NewRecorder(b.N)
 	for i := 0; i < b.N; i++ {

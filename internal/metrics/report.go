@@ -13,16 +13,3 @@ func (s *CounterSet) AppendScalars(r *report.Report, prefix string) {
 		r.AddScalar(prefix+n, float64(s.vals[n]), "")
 	}
 }
-
-// ReportTable converts the set into a two-column typed table (counter,
-// count) in first-Add order, ready to append to a report.
-func (s *CounterSet) ReportTable(name string) *report.Table {
-	t := &report.Table{
-		Name: name,
-		Cols: []report.Column{report.StrCol("counter"), report.NumCol("count")},
-	}
-	for _, n := range s.names {
-		t.Row(report.Str(n), report.Num(float64(s.vals[n]), "%d", s.vals[n]))
-	}
-	return t
-}

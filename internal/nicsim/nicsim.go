@@ -23,14 +23,6 @@ import (
 // LineRate100G is 100 Gbps in GB/s.
 const LineRate100G mem.GBps = 12.5
 
-// Doorbell register offsets in BAR0.
-const (
-	// RegTxDoorbell is written by the stack to kick TX processing.
-	RegTxDoorbell uint32 = 0x00
-	// RegRxHead is maintained by the device model for diagnostics.
-	RegRxHead uint32 = 0x08
-)
-
 // Errors.
 var (
 	ErrNoRxBuffer = errors.New("nicsim: RX ring empty (packet dropped)")
@@ -62,8 +54,6 @@ type RxCompletion struct {
 type Config struct {
 	// LineRate is the port speed (default 100 Gbps).
 	LineRate mem.GBps
-	// PCIe is the host link shape (default ×16 Gen4 ≈ 100 Gbps-capable).
-	PCIe pcie.LinkConfig
 	// RxRingDepth bounds posted RX buffers (default 1024).
 	RxRingDepth int
 }
@@ -104,15 +94,12 @@ func New(name string, cfg Config) *NIC {
 	if cfg.LineRate <= 0 {
 		cfg.LineRate = LineRate100G
 	}
-	if cfg.PCIe.Lanes == 0 {
-		cfg.PCIe = pcie.LinkConfig{Lanes: 16, Gen: 4}
-	}
 	if cfg.RxRingDepth <= 0 {
 		cfg.RxRingDepth = 1024
 	}
 	n := &NIC{
 		name:      name,
-		ep:        pcie.NewEndpoint(name, cfg.PCIe),
+		ep:        pcie.NewEndpoint(name, pcie.LinkConfig{Lanes: 16, Gen: 4}), // carries 100 Gbps
 		rate:      cfg.LineRate,
 		ringDepth: cfg.RxRingDepth,
 	}
@@ -122,8 +109,8 @@ func New(name string, cfg Config) *NIC {
 // Name returns the NIC's name/address.
 func (n *NIC) Name() string { return n.name }
 
-// Endpoint exposes the PCIe function (for host-memory attachment,
-// doorbells, failure injection).
+// Endpoint exposes the PCIe function (for host-memory attachment and
+// failure injection).
 func (n *NIC) Endpoint() *pcie.Endpoint { return n.ep }
 
 // LineRate returns the port speed.
@@ -294,7 +281,6 @@ func (n *NIC) FromWire(now sim.Time, p *netsim.Packet) {
 	}
 	n.rxPackets++
 	n.rxBytes += uint64(len(p.Payload))
-	n.ep.Registers().Store(RegRxHead, n.rxPackets)
 	if n.onRx != nil {
 		// The completion is observed by the stack after the DMA has
 		// landed. The fabric's engine ordering already placed `now`

@@ -37,8 +37,6 @@ const (
 	// LeastUtilized always picks the globally least-utilized device
 	// (ablation: ignores locality).
 	LeastUtilized
-	// RoundRobin cycles through devices (ablation baseline).
-	RoundRobin
 )
 
 // String names the policy.
@@ -48,8 +46,6 @@ func (p Policy) String() string {
 		return "local-first"
 	case LeastUtilized:
 		return "least-utilized"
-	case RoundRobin:
-		return "round-robin"
 	default:
 		return "unknown"
 	}
@@ -57,15 +53,14 @@ func (p Policy) String() string {
 
 // Intervals for the control loops.
 const (
-	// DefaultPublishInterval is how often agents publish device health
+	// publishInterval is how often agents publish device health
 	// records to shared memory.
-	DefaultPublishInterval sim.Duration = 50 * sim.Microsecond
-	// DefaultMonitorInterval is how often the orchestrator sweeps the
-	// records.
-	DefaultMonitorInterval sim.Duration = 100 * sim.Microsecond
-	// DefaultLoadThreshold is the utilization above which a local
-	// device is considered too busy for new allocations.
-	DefaultLoadThreshold = 0.7
+	publishInterval sim.Duration = 50 * sim.Microsecond
+	// monitorInterval is how often the orchestrator sweeps the records.
+	monitorInterval sim.Duration = 100 * sim.Microsecond
+	// loadThreshold is the utilization above which a local device is
+	// too busy for the local-first fast path.
+	loadThreshold = 0.7
 )
 
 // Errors.
@@ -103,11 +98,7 @@ type Orchestrator struct {
 	pod  *core.Pod
 	home *core.Host
 
-	policy          Policy
-	publishInterval sim.Duration
-	monitorInterval sim.Duration
-	// LoadThreshold gates the local-first fast path.
-	LoadThreshold float64
+	policy Policy
 	// EnableRebalance turns on load shifting in the monitor sweep.
 	EnableRebalance bool
 	// RebalanceGap is the max-min load gap that triggers a migration.
@@ -115,7 +106,6 @@ type Orchestrator struct {
 
 	devices map[string]*device
 	order   []string
-	rrNext  int
 
 	vnics  map[string]*core.VirtualNIC
 	assign map[string]string // vNIC name -> device name
@@ -156,19 +146,16 @@ func New(pod *core.Pod, homeHost string, policy Policy) (*Orchestrator, error) {
 		return nil, err
 	}
 	o := &Orchestrator{
-		pod:             pod,
-		home:            home,
-		policy:          policy,
-		publishInterval: DefaultPublishInterval,
-		monitorInterval: DefaultMonitorInterval,
-		LoadThreshold:   DefaultLoadThreshold,
-		RebalanceGap:    0.3,
-		devices:         make(map[string]*device),
-		vnics:           make(map[string]*core.VirtualNIC),
-		assign:          make(map[string]string),
-		pendingRemap:    make(map[string]string),
-		ctl:             core.NewControlPlane(pod, home),
-		FailoverTime:    metrics.NewRecorder(64),
+		pod:          pod,
+		home:         home,
+		policy:       policy,
+		RebalanceGap: 0.3,
+		devices:      make(map[string]*device),
+		vnics:        make(map[string]*core.VirtualNIC),
+		assign:       make(map[string]string),
+		pendingRemap: make(map[string]string),
+		ctl:          core.NewControlPlane(pod, home),
+		FailoverTime: metrics.NewRecorder(64),
 	}
 	o.ctl.OnAck = o.handleRemapAck
 	return o, nil
@@ -189,17 +176,6 @@ func (o *Orchestrator) handleRemapAck(now sim.Time, vnic, dev string, stamp sim.
 	o.failovers++
 	if stamp > 0 {
 		o.FailoverTime.Record(float64(now - stamp))
-	}
-}
-
-// SetIntervals overrides the control-loop cadences (for tests and
-// ablations).
-func (o *Orchestrator) SetIntervals(publish, monitor sim.Duration) {
-	if publish > 0 {
-		o.publishInterval = publish
-	}
-	if monitor > 0 {
-		o.monitorInterval = monitor
 	}
 }
 
@@ -338,9 +314,9 @@ func (o *Orchestrator) Start() error {
 					cur += pd
 				}
 			}
-			engine.At(cur+o.publishInterval, func() { publish(cur + o.publishInterval) })
+			engine.At(cur+publishInterval, func() { publish(cur + publishInterval) })
 		}
-		engine.At(engine.Now()+o.publishInterval, func() { publish(engine.Now()) })
+		engine.At(engine.Now()+publishInterval, func() { publish(engine.Now()) })
 	}
 	// Monitor loop.
 	var sweep func(t sim.Time)
@@ -349,9 +325,9 @@ func (o *Orchestrator) Start() error {
 			return
 		}
 		end := o.monitorSweep(t)
-		engine.At(end+o.monitorInterval, func() { sweep(end + o.monitorInterval) })
+		engine.At(end+monitorInterval, func() { sweep(end + monitorInterval) })
 	}
-	engine.At(engine.Now()+o.monitorInterval, func() { sweep(engine.Now() + o.monitorInterval) })
+	engine.At(engine.Now()+monitorInterval, func() { sweep(engine.Now() + monitorInterval) })
 	return nil
 }
 
@@ -474,21 +450,12 @@ func (o *Orchestrator) pick(user *core.Host, exclude string) (*device, error) {
 		return d.name != exclude && !d.failed && !d.draining && !d.nic.Failed()
 	}
 	switch o.policy {
-	case RoundRobin:
-		for i := 0; i < len(o.order); i++ {
-			d := o.devices[o.order[o.rrNext%len(o.order)]]
-			o.rrNext++
-			if usable(d) {
-				return d, nil
-			}
-		}
-		return nil, ErrNoDevices
 	case LocalFirst:
 		// Local device under threshold wins.
 		var bestLocal *device
 		for _, name := range o.order {
 			d := o.devices[name]
-			if usable(d) && d.owner == user && d.load < o.LoadThreshold {
+			if usable(d) && d.owner == user && d.load < loadThreshold {
 				if bestLocal == nil || d.load < bestLocal.load {
 					bestLocal = d
 				}

@@ -66,22 +66,6 @@ func TestAllocateLocalFirst(t *testing.T) {
 	}
 }
 
-func TestAllocateRoundRobin(t *testing.T) {
-	p, o := rig(t, 2, 1, RoundRobin)
-	h0, _ := p.Host("host0")
-	a, err := o.Allocate(h0, "a", core.VNICConfig{BufSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := o.Allocate(h0, "b", core.VNICConfig{BufSize: 256})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Phys().Name() == b.Phys().Name() {
-		t.Fatal("round robin assigned the same device twice")
-	}
-}
-
 func TestAllocateLocalFirstSkipsOverloadedLocal(t *testing.T) {
 	p, o := rig(t, 2, 1, LocalFirst)
 	h0, _ := p.Host("host0")

@@ -90,7 +90,7 @@ func TestRestartResumesAtSingleCadence(t *testing.T) {
 	// Single cadence: sweeps over the post-restart window must be close
 	// to window/interval — doubled loops would produce ~2x.
 	window := horizon - restartAt
-	expect := uint64(window / DefaultMonitorInterval)
+	expect := uint64(window / monitorInterval)
 	ran := sweeps - sweepsAtRestart
 	if ran > expect+expect/4 {
 		t.Fatalf("sweeps after restart = %d, expected <= ~%d: stale loop still running", ran, expect)

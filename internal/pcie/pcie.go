@@ -1,6 +1,7 @@
-// Package pcie models generic PCIe endpoint devices — MMIO register
-// files, doorbells, and DMA engines — plus the hardware PCIe switch that
-// is the paper's baseline for device pooling.
+// Package pcie models generic PCIe endpoint devices: a link shape, a
+// DMA engine into host memory, and failure injection. The hardware PCIe
+// switch the paper argues against appears only as ReassignLatency, its
+// cost of moving a device between hosts.
 //
 // Devices in this repository (nicsim, ssdsim) embed an Endpoint. The
 // Endpoint's DMA engine targets a mem.Memory, which is how the paper's
@@ -23,16 +24,13 @@ const (
 	// MMIOWriteLatency is a posted MMIO write (doorbell ring) to a
 	// locally attached device.
 	MMIOWriteLatency sim.Duration = 130
-	// MMIOReadLatency is a non-posted MMIO read round trip to a locally
-	// attached device.
-	MMIOReadLatency sim.Duration = 850
 	// DMASetupLatency is the per-transfer TLP processing overhead of a
 	// device-initiated DMA.
 	DMASetupLatency sim.Duration = 90
-	// SwitchHopLatency is the extra latency a hardware PCIe switch adds
-	// per crossing (measured ~105-150 ns per hop on Switchtec-class
-	// parts; cross-host routed paths pay it both ways).
-	SwitchHopLatency sim.Duration = 130
+	// ReassignLatency is the control-plane cost of moving a device
+	// between hosts on a hardware PCIe switch (hot-unplug + hot-plug
+	// flow, milliseconds).
+	ReassignLatency sim.Duration = 50 * sim.Millisecond
 )
 
 // LaneBandwidthGen5 is effective per-lane PCIe 5.0 bandwidth.
@@ -62,29 +60,13 @@ func (c LinkConfig) Bandwidth() mem.GBps {
 var (
 	ErrDeviceFailed = errors.New("pcie: device failed")
 	ErrNoDMATarget  = errors.New("pcie: DMA engine not attached to host memory")
-	ErrBadRegister  = errors.New("pcie: unknown MMIO register")
 )
 
-// Registers is a sparse MMIO register file (BAR0-style).
-type Registers struct {
-	regs map[uint32]uint64
-}
-
-// NewRegisters returns an empty register file.
-func NewRegisters() *Registers { return &Registers{regs: make(map[uint32]uint64)} }
-
-// Load returns the register value (0 if never written).
-func (r *Registers) Load(off uint32) uint64 { return r.regs[off] }
-
-// Store sets a register value.
-func (r *Registers) Store(off uint32, v uint64) { r.regs[off] = v }
-
-// Endpoint is a PCIe device function: identity, link, register file, and
-// a DMA engine bound to the host's physical memory.
+// Endpoint is a PCIe device function: identity, link, and a DMA engine
+// bound to the host's physical memory.
 type Endpoint struct {
 	name string
 	link LinkConfig
-	bar  *Registers
 
 	// hostMem is the memory the device can DMA to/from: the attaching
 	// host's address space (local DRAM and, when buffers live in the
@@ -98,14 +80,9 @@ type Endpoint struct {
 
 	failed bool
 
-	// doorbell handlers: MMIO writes to registered offsets invoke
-	// device-model callbacks (e.g. NIC TX doorbell).
-	doorbells map[uint32]func(now sim.Time, v uint64)
-
 	// Stats.
 	dmaReads, dmaWrites     uint64
 	dmaBytesIn, dmaBytesOut uint64
-	mmioWrites, mmioReads   uint64
 }
 
 // NewEndpoint creates a device endpoint with the given link shape.
@@ -113,22 +90,11 @@ func NewEndpoint(name string, link LinkConfig) *Endpoint {
 	if link.Lanes <= 0 {
 		panic(fmt.Sprintf("pcie: endpoint %q with no lanes", name))
 	}
-	return &Endpoint{
-		name:      name,
-		link:      link,
-		bar:       NewRegisters(),
-		doorbells: make(map[uint32]func(sim.Time, uint64)),
-	}
+	return &Endpoint{name: name, link: link}
 }
 
 // Name returns the device name.
 func (e *Endpoint) Name() string { return e.name }
-
-// Link returns the device link shape.
-func (e *Endpoint) Link() LinkConfig { return e.link }
-
-// Registers exposes the BAR for device models.
-func (e *Endpoint) Registers() *Registers { return e.bar }
 
 // AttachHostMemory points the DMA engine at the host address space.
 func (e *Endpoint) AttachHostMemory(m mem.Memory) { e.hostMem = m }
@@ -136,7 +102,7 @@ func (e *Endpoint) AttachHostMemory(m mem.Memory) { e.hostMem = m }
 // HostMemory returns the current DMA target.
 func (e *Endpoint) HostMemory() mem.Memory { return e.hostMem }
 
-// Fail marks the device failed; DMA and MMIO error until Repair (§2.2
+// Fail marks the device failed; DMA errors until Repair (§2.2
 // device-failure scenarios).
 func (e *Endpoint) Fail() { e.failed = true }
 
@@ -145,12 +111,6 @@ func (e *Endpoint) Repair() { e.failed = false }
 
 // Failed reports failure state.
 func (e *Endpoint) Failed() bool { return e.failed }
-
-// OnDoorbell registers a callback invoked when the CPU writes register
-// off.
-func (e *Endpoint) OnDoorbell(off uint32, fn func(now sim.Time, v uint64)) {
-	e.doorbells[off] = fn
-}
 
 // Stats returns DMA counters.
 func (e *Endpoint) Stats() (dmaReads, dmaWrites, bytesIn, bytesOut uint64) {
@@ -213,30 +173,4 @@ func (e *Endpoint) DMAWrite(now sim.Time, a mem.Address, buf []byte) (sim.Durati
 	e.dmaWrites++
 	e.dmaBytesIn += uint64(len(buf))
 	return d + md, nil
-}
-
-// MMIOWrite is a CPU-initiated posted write to a device register
-// (doorbell). extraLatency carries path costs above the local case
-// (zero for a locally attached device; switch hops or forwarding costs
-// for pooled access).
-func (e *Endpoint) MMIOWrite(now sim.Time, off uint32, v uint64, extraLatency sim.Duration) (sim.Duration, error) {
-	if e.failed {
-		return 0, fmt.Errorf("%w: %s", ErrDeviceFailed, e.name)
-	}
-	e.bar.Store(off, v)
-	e.mmioWrites++
-	d := MMIOWriteLatency + extraLatency
-	if fn, ok := e.doorbells[off]; ok {
-		fn(now+d, v)
-	}
-	return d, nil
-}
-
-// MMIORead is a CPU-initiated non-posted register read.
-func (e *Endpoint) MMIORead(now sim.Time, off uint32, extraLatency sim.Duration) (uint64, sim.Duration, error) {
-	if e.failed {
-		return 0, 0, fmt.Errorf("%w: %s", ErrDeviceFailed, e.name)
-	}
-	e.mmioReads++
-	return e.bar.Load(off), MMIOReadLatency + extraLatency, nil
 }

@@ -17,15 +17,10 @@ type PingPongConfig struct {
 	// Messages is the number of ping-pong rounds (each contributes two
 	// one-way samples).
 	Messages int
-	// Link is the per-host CXL link (paper: PCIe-5.0 ×16).
-	Link cxl.LinkConfig
 	// Switched routes both hosts through a CXL switch (E9 ablation).
 	Switched bool
 	// Mode is the sender publish strategy (E9 ablation; default ModeNT).
 	Mode SendMode
-	// PollOverhead is the CPU cost between consecutive polls of a
-	// spinning receiver (loop + branch, ~10 ns).
-	PollOverhead sim.Duration
 	// Slots is the ring size (default 64).
 	Slots int
 	// SlotBytes is the slot size (default 64, the paper's choice; E9
@@ -34,6 +29,10 @@ type PingPongConfig struct {
 	// Seed drives controller jitter.
 	Seed int64
 }
+
+// pollOverhead is the CPU cost between consecutive polls of a spinning
+// receiver (loop + branch).
+const pollOverhead sim.Duration = 10
 
 // PingPongResult carries the measured distributions.
 type PingPongResult struct {
@@ -60,12 +59,6 @@ func PingPong(cfg PingPongConfig) (*PingPongResult, error) {
 	if cfg.Messages <= 0 {
 		cfg.Messages = 10000
 	}
-	if cfg.Link.Lanes == 0 {
-		cfg.Link = cxl.X16Gen5
-	}
-	if cfg.PollOverhead <= 0 {
-		cfg.PollOverhead = 10
-	}
 	if cfg.Slots <= 0 {
 		cfg.Slots = 64
 	}
@@ -74,14 +67,15 @@ func PingPong(cfg PingPongConfig) (*PingPongResult, error) {
 	}
 	rng := sim.NewRand(cfg.Seed)
 
-	// One MHD, two host ports — the minimal pod of the paper's setup.
+	// One MHD, two host ports — the minimal pod of the paper's setup —
+	// each host on a PCIe-5.0 ×16 link.
 	needed := 2 * FootprintSlotSize(cfg.Slots, cfg.SlotBytes)
 	dev := cxl.NewMHD("fig4", 0, alignPow2(needed), 2, rng)
-	va, err := dev.Connect(cfg.Link)
+	va, err := dev.Connect(cxl.X16Gen5)
 	if err != nil {
 		return nil, err
 	}
-	vb, err := dev.Connect(cfg.Link)
+	vb, err := dev.Connect(cxl.X16Gen5)
 	if err != nil {
 		return nil, err
 	}
@@ -89,11 +83,11 @@ func PingPong(cfg PingPongConfig) (*PingPongResult, error) {
 	if cfg.Switched {
 		sw = cxl.NewSwitch("fig4-sw")
 	}
-	cacheA, err := newHostCache("A", va, cfg, sw)
+	cacheA, err := newHostCache("A", va, sw)
 	if err != nil {
 		return nil, err
 	}
-	cacheB, err := newHostCache("B", vb, cfg, sw)
+	cacheB, err := newHostCache("B", vb, sw)
 	if err != nil {
 		return nil, err
 	}
@@ -149,7 +143,7 @@ func PingPong(cfg PingPongConfig) (*PingPongResult, error) {
 		// its poll period is (poll cost + loop overhead). The first poll
 		// issued at or after `visible` observes the message. The phase
 		// offset within the period is uniform: draw it.
-		period := sim.Duration(emptySum/float64(emptyN)) + cfg.PollOverhead
+		period := sim.Duration(emptySum/float64(emptyN)) + pollOverhead
 		phase := sim.Duration(rng.Int63n(int64(period)))
 		pollAt := visible + phase
 		payloadGot, pd, ok, err := r.PollInto(pollAt, rxBuf[:0])
@@ -179,7 +173,7 @@ func PingPong(cfg PingPongConfig) (*PingPongResult, error) {
 			return nil, err
 		}
 		res.RTT.Record(float64(end - t0))
-		now = end + cfg.PollOverhead
+		now = end + pollOverhead
 	}
 	if emptyN > 0 {
 		res.EmptyPollCost = emptySum / float64(emptyN)
@@ -194,11 +188,11 @@ var errStale = fmt.Errorf("shm: message never became visible (broken coherence m
 func ErrStale(err error) bool { return err == errStale }
 
 // newHostCache wires a cache over the (possibly switched) port view.
-func newHostCache(host string, v *cxl.PortView, cfg PingPongConfig, sw *cxl.Switch) (*cache.Cache, error) {
+func newHostCache(host string, v *cxl.PortView, sw *cxl.Switch) (*cache.Cache, error) {
 	if sw == nil {
 		return cache.New(host, v, 0), nil
 	}
-	sv, err := sw.Via(v, cfg.Link)
+	sv, err := sw.Via(v, cxl.X16Gen5)
 	if err != nil {
 		return nil, err
 	}

@@ -45,8 +45,6 @@ type UDPBenchConfig struct {
 	Duration sim.Duration
 	// Mode places the server's buffers.
 	Mode BufferMode
-	// RingDepth is the server RX ring size (default 512).
-	RingDepth int
 	// Seed drives arrivals and jitter.
 	Seed int64
 }
@@ -71,9 +69,12 @@ func (r UDPBenchResult) String() string {
 		r.Mode, r.Payload, r.OfferedMOPS, r.AchievedMOPS, r.P50us, r.P90us, r.P99us)
 }
 
+// ringDepth is the RX ring size of both the server and the client.
+const ringDepth = 512
+
 // poolSize returns a buffer-pool size comfortably above ring+in-flight
 // needs.
-func poolSize(payload, ringDepth int) int {
+func poolSize(payload int) int {
 	per := int(mem.AlignUp(mem.Address(payload)))
 	n := (ringDepth*4 + 4096) * per
 	const minSize = 1 << 22
@@ -92,9 +93,6 @@ func RunUDPBench(cfg UDPBenchConfig) (*UDPBenchResult, error) {
 	if cfg.Duration <= 0 {
 		cfg.Duration = 20 * sim.Millisecond
 	}
-	if cfg.RingDepth <= 0 {
-		cfg.RingDepth = 512
-	}
 	engine := sim.NewEngine(cfg.Seed)
 	fabric := netsim.NewFabric("tor", engine)
 
@@ -109,7 +107,7 @@ func RunUDPBench(cfg UDPBenchConfig) (*UDPBenchResult, error) {
 		return nil, err
 	}
 
-	size := poolSize(cfg.Payload, cfg.RingDepth)
+	size := poolSize(cfg.Payload)
 
 	// Host DDR is interleaved across multiple channels (4 here); buffer
 	// traffic never saturates a single DIMM channel on a real server.
@@ -144,11 +142,11 @@ func RunUDPBench(cfg UDPBenchConfig) (*UDPBenchResult, error) {
 	clientDDR := mem.NewRegion("client-ddr", 0, size, ddrTiming, sim.NewRand(cfg.Seed+2))
 	clientPool := NewBufferPool("client-ddr", clientDDR, clientDDR, 0, size)
 
-	server, err := NewServer(engine, serverNIC, serverPool, cfg.Payload, cfg.RingDepth)
+	server, err := NewServer(engine, serverNIC, serverPool, cfg.Payload, ringDepth)
 	if err != nil {
 		return nil, err
 	}
-	client, err := NewClient(engine, clientNIC, clientPool, "server", cfg.Payload, cfg.RingDepth, sim.NewRand(cfg.Seed+3))
+	client, err := NewClient(engine, clientNIC, clientPool, "server", cfg.Payload, ringDepth, sim.NewRand(cfg.Seed+3))
 	if err != nil {
 		return nil, err
 	}

@@ -23,7 +23,7 @@ func linearPackCluster(cfg Config) (Stranding, error) {
 		free[i] = cfg.Host
 	}
 	placed, streak, nextHost := 0, 0, 0
-	for streak < cfg.FailureStreak {
+	for streak < failureStreak {
 		vm := sampler.Next()
 		ok := false
 		for j := 0; j < cfg.Hosts; j++ {

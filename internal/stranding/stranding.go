@@ -39,9 +39,6 @@ type Config struct {
 	Host workload.Resources
 	// Types is the VM mix (default workload.DefaultVMTypes).
 	Types []workload.VMType
-	// FailureStreak stops packing after this many consecutive placement
-	// failures (default 200).
-	FailureStreak int
 	// Seed drives VM sampling.
 	Seed int64
 }
@@ -56,10 +53,11 @@ func (c *Config) defaults() {
 	if len(c.Types) == 0 {
 		c.Types = workload.DefaultVMTypes()
 	}
-	if c.FailureStreak <= 0 {
-		c.FailureStreak = 200
-	}
 }
+
+// failureStreak stops packing after this many consecutive placement
+// failures: the cluster is saturated.
+const failureStreak = 200
 
 // Stranding is the Figure 2 result: fraction of deployed capacity that
 // is stranded (unused at cluster saturation) per dimension.
@@ -102,7 +100,7 @@ func PackCluster(cfg Config) (Stranding, error) {
 	// used to rescan the whole cluster per draw — into O(1) per failed
 	// draw, without changing a single placement decision.
 	var dead []workload.Resources
-	for streak < cfg.FailureStreak {
+	for streak < failureStreak {
 		vm := sampler.Next()
 		known := false
 		for _, d := range dead {

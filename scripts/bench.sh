@@ -8,24 +8,23 @@
 #   BENCHTIME=1x scripts/bench.sh         # smoke run (one iteration, CI)
 #   OUT=BENCH_foo.json scripts/bench.sh   # custom snapshot name
 #
-#   scripts/bench.sh --compare OLD.json NEW.json [--allocs-only]
+#   scripts/bench.sh --compare OLD.json NEW.json
 #       Diff two snapshots; exit nonzero if any benchmark regressed by
-#       >15% ns/op or >25% allocs/op. --allocs-only skips the ns/op
-#       check (for CI smoke runs, where single-iteration wall times are
-#       too noisy to gate on). Benchmarks present on only one side are
-#       skipped with a warning, not failed: new scenario benches land
-#       before the baseline snapshot is regenerated, and retired ones
-#       linger in old baselines.
+#       >25% allocs/op. ns/op is printed but not gated: single-run
+#       timings from different machines are too noisy to judge, and
+#       bench/run.sh --compare is the wall-time judge. Benchmarks
+#       present on only one side are skipped with a warning, not
+#       failed: new scenario benches land before the baseline snapshot
+#       is regenerated, and retired ones linger in old baselines.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 compare() {
-    local old="$1" new="$2" allocs_only="${3:-}"
-    python3 - "$old" "$new" "$allocs_only" <<'PYEOF'
+    python3 - "$1" "$2" <<'PYEOF'
 import json, sys
 
-old_path, new_path, allocs_only = sys.argv[1], sys.argv[2], sys.argv[3]
+old_path, new_path = sys.argv[1], sys.argv[2]
 old = {(b["pkg"], b["name"]): b for b in json.load(open(old_path))["benchmarks"]}
 new = {(b["pkg"], b["name"]): b for b in json.load(open(new_path))["benchmarks"]}
 
@@ -39,10 +38,7 @@ for key in sorted(old):
     row = f"{key[1]:44s}"
     ns_o, ns_n = o["ns_per_op"], n["ns_per_op"]
     d = (ns_n - ns_o) / ns_o if ns_o else 0.0
-    flag = ""
-    if d > 0.15 and not allocs_only:
-        flag, failed = " REGRESSED", True
-    row += f" {ns_o:>10.4g}->{ns_n:<10.4g}{d:+4.0%}{flag}"
+    row += f" {ns_o:>10.4g}->{ns_n:<10.4g}{d:+4.0%}"
     a_o, a_n = o.get("allocs_per_op"), n.get("allocs_per_op")
     if a_o is not None and a_n is not None:
         da = (a_n - a_o) / a_o if a_o else (1.0 if a_n else 0.0)
@@ -59,8 +55,8 @@ PYEOF
 }
 
 if [ "${1:-}" = "--compare" ]; then
-    [ $# -ge 3 ] || { echo "usage: $0 --compare OLD.json NEW.json [--allocs-only]" >&2; exit 2; }
-    compare "$2" "$3" "${4:-}"
+    [ $# -eq 3 ] || { echo "usage: $0 --compare OLD.json NEW.json" >&2; exit 2; }
+    compare "$2" "$3"
     exit $?
 fi
 
