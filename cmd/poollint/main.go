@@ -1,17 +1,22 @@
 // Command poollint is the repository's static-analysis gate: a
 // multichecker that runs the internal/lint analyzer suite (mapiter,
-// wallclock, bufown, simhandle) over Go packages and exits nonzero on
-// findings. It enforces, at vet time, the contracts the test suite can
-// only catch after the fact: deterministic iteration in the packages
-// that feed reports, no wall-clock time or global randomness inside the
-// simulated world, bufpool Get/Put ownership pairing, and sim event
-// handle validity after Cancel.
+// wallclock, bufown, simhandle, testonly) over Go packages and exits
+// nonzero on findings. It enforces, at vet time, the contracts the test
+// suite can only catch after the fact: deterministic iteration in the
+// packages that feed reports, no wall-clock time or global randomness
+// inside the simulated world, bufpool Get/Put ownership pairing, sim
+// event handle validity after Cancel, and no exported internal/ API
+// that only tests reach.
 //
 // Usage:
 //
-//	poollint [-list] [packages...]
+//	poollint [-list] [-callers dir,...] [packages...]
 //
 // Package patterns are resolved by `go list`; the default is ./....
+// testonly needs every caller, so the whole module is loaded whatever
+// the patterns, and so are the non-test files of the nested modules
+// named by -callers (default bench, the benchmark module); findings
+// are printed only for the packages the patterns name.
 // Findings print as file:line:col: [analyzer] message. Exit status is 0
 // for a clean tree, 1 when findings exist, and 2 on usage or load
 // errors. Deliberate exceptions are annotated in source with
@@ -44,8 +49,9 @@ type listPackage struct {
 
 func main() {
 	listOnly := flag.Bool("list", false, "list the analyzers in the suite and exit")
+	callers := flag.String("callers", "bench", "comma-separated nested module `dirs` whose non-test code counts as callers")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: poollint [-list] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: poollint [-list] [-callers dir,...] [packages...]\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
@@ -62,63 +68,98 @@ func main() {
 		patterns = []string{"./..."}
 	}
 
-	pkgs, err := goList(patterns)
+	targets, err := goList(".", patterns)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "poollint: %v\n", err)
 		os.Exit(2)
 	}
+	module, err := goList(".", []string{"./..."})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "poollint: %v\n", err)
+		os.Exit(2)
+	}
+	check := make(map[string]bool)
+	for _, lp := range targets {
+		check[lp.ImportPath] = true
+	}
 
 	loader := lint.NewLoader()
-	analyzers := lint.All()
-	findings := 0
 	loadErrs := 0
-	cwd, _ := os.Getwd()
-	for _, lp := range pkgs {
-		// Unit 1: the package plus its in-package tests; unit 2: the
-		// external test package. Both are load-bearing — the PR 1/PR 3
-		// bug class lives in product code, but test files hold golden
-		// assertions whose own determinism matters just as much.
-		units := []struct {
-			path  string
-			files []string
-		}{
-			{lp.ImportPath, join(lp.Dir, lp.GoFiles, lp.TestGoFiles)},
-			{lp.ImportPath + "_test", join(lp.Dir, lp.XTestGoFiles)},
+	load := func(path string, files []string) *lint.Package {
+		if len(files) == 0 {
+			return nil
 		}
-		for _, u := range units {
-			if len(u.files) == 0 {
+		pkg, err := loader.LoadFiles(path, files)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "poollint: %v\n", err)
+			loadErrs++
+		}
+		return pkg
+	}
+	// Unit 1: the package plus its in-package tests; unit 2: the
+	// external test package. Both are load-bearing — the PR 1/PR 3 bug
+	// class lives in product code, but test files hold golden assertions
+	// whose own determinism matters just as much.
+	var units, checked []*lint.Package
+	for _, lp := range module {
+		for _, pkg := range []*lint.Package{
+			load(lp.ImportPath, join(lp.Dir, lp.GoFiles, lp.TestGoFiles)),
+			load(lp.ImportPath+"_test", join(lp.Dir, lp.XTestGoFiles)),
+		} {
+			if pkg == nil {
 				continue
 			}
-			pkg, err := loader.LoadFiles(u.path, u.files)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "poollint: %v\n", err)
-				loadErrs++
-				continue
-			}
-			for _, d := range lint.Check(pkg, analyzers) {
-				pos := pkg.Fset.Position(d.Pos)
-				name := pos.Filename
-				if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
-					name = rel
-				}
-				fmt.Printf("%s:%d:%d: [%s] %s\n", name, pos.Line, pos.Column, d.Analyzer, d.Message)
-				findings++
+			units = append(units, pkg)
+			if check[lp.ImportPath] {
+				checked = append(checked, pkg)
 			}
 		}
 	}
-	switch {
-	case loadErrs > 0:
+	for _, dir := range strings.Split(*callers, ",") {
+		if dir == "" {
+			continue
+		}
+		nested, err := goList(dir, []string{"./..."})
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "poollint: callers %s: %v\n", dir, err)
+			os.Exit(2)
+		}
+		for _, lp := range nested {
+			if pkg := load(lp.ImportPath, join(lp.Dir, lp.GoFiles)); pkg != nil {
+				units = append(units, pkg)
+			}
+		}
+	}
+	if loadErrs > 0 {
 		os.Exit(2)
-	case findings > 0:
+	}
+
+	refs := lint.NewRefs(units)
+	analyzers := lint.All()
+	findings := 0
+	cwd, _ := os.Getwd()
+	for _, pkg := range checked {
+		for _, d := range lint.Check(pkg, analyzers, refs) {
+			pos := pkg.Fset.Position(d.Pos)
+			name := pos.Filename
+			if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
+				name = rel
+			}
+			fmt.Printf("%s:%d:%d: [%s] %s\n", name, pos.Line, pos.Column, d.Analyzer, d.Message)
+			findings++
+		}
+	}
+	if findings > 0 {
 		fmt.Fprintf(os.Stderr, "poollint: %d finding(s)\n", findings)
 		os.Exit(1)
 	}
 }
 
-// goList expands package patterns through the go tool.
-func goList(patterns []string) ([]listPackage, error) {
-	args := append([]string{"list", "-json"}, patterns...)
-	out, err := exec.Command("go", args...).Output()
+// goList expands package patterns through the go tool, run in dir.
+func goList(dir string, patterns []string) ([]listPackage, error) {
+	cmd := exec.Command("go", append([]string{"list", "-json"}, patterns...)...)
+	cmd.Dir = dir
+	out, err := cmd.Output()
 	if err != nil {
 		if ee, ok := err.(*exec.ExitError); ok {
 			return nil, fmt.Errorf("go list: %s", strings.TrimSpace(string(ee.Stderr)))

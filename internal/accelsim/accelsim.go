@@ -99,10 +99,12 @@ type Accel struct {
 
 	laneFree []sim.Time
 
-	jobs      uint64
-	bytesIn   uint64
-	bytesOut  uint64
-	busyNanos uint64
+	// inBuf and outBuf are the DMA staging scratch, grown once and
+	// reused by every job: Submit consumes both before it returns.
+	inBuf, outBuf []byte
+	// jobFree recycles completion events with their callbacks (as
+	// ssdsim's compFree does).
+	jobFree []*jobEvent
 }
 
 // New creates an accelerator of the given kind.
@@ -118,39 +120,21 @@ func New(name string, engine *sim.Engine, kind Kind) *Accel {
 	}
 }
 
-// Name returns the device name.
-func (a *Accel) Name() string { return a.name }
-
 // Kind returns the accelerator class.
 func (a *Accel) Kind() Kind { return a.kind }
-
-// Endpoint exposes the PCIe function.
-func (a *Accel) Endpoint() *pcie.Endpoint { return a.ep }
 
 // AttachHostMemory points the DMA engine at host/pool memory.
 func (a *Accel) AttachHostMemory(m mem.Memory) { a.ep.AttachHostMemory(m) }
 
 // Fail injects a device failure.
+//
+//lint:allow testonly TestVirtualAccelFailureAndRemap and TestForwarderTracePinned fail the device under a VirtualAccel
 func (a *Accel) Fail() { a.ep.Fail() }
 
 // Repair clears it.
+//
+//lint:allow testonly TestForwarderTracePinned repairs the device it failed
 func (a *Accel) Repair() { a.ep.Repair() }
-
-// Failed reports failure state.
-func (a *Accel) Failed() bool { return a.ep.Failed() }
-
-// Stats returns (jobs, bytesIn, bytesOut).
-func (a *Accel) Stats() (jobs, bytesIn, bytesOut uint64) {
-	return a.jobs, a.bytesIn, a.bytesOut
-}
-
-// Utilization returns the busy fraction of lane-time up to now.
-func (a *Accel) Utilization(now sim.Time) float64 {
-	if now <= 0 {
-		return 0
-	}
-	return float64(a.busyNanos) / (float64(now) * float64(a.profile.Lanes))
-}
 
 // OutputLen returns the output size for an input size.
 func (a *Accel) OutputLen(inputLen int) int {
@@ -171,7 +155,7 @@ func (a *Accel) Submit(now sim.Time, inAddr, outAddr mem.Address, inputLen int, 
 		return fmt.Errorf("%w: %s", pcie.ErrDeviceFailed, a.name)
 	}
 	// Stage in.
-	in := make([]byte, inputLen)
+	in := grow(&a.inBuf, inputLen)
 	dIn, err := a.ep.DMARead(now, inAddr, in)
 	if err != nil {
 		return err
@@ -189,38 +173,79 @@ func (a *Accel) Submit(now sim.Time, inAddr, outAddr mem.Address, inputLen int, 
 	}
 	compute := a.profile.Setup + a.profile.Throughput.TransferTime(inputLen)
 	a.laneFree[lane] = start + compute
-	a.busyNanos += uint64(compute)
 	// Produce output deterministically from input (checksum-expanded),
 	// so pooled paths can verify integrity end to end.
 	outLen := a.OutputLen(inputLen)
-	out := make([]byte, outLen)
-	var acc byte
-	for i, b := range in {
-		acc ^= b + byte(i)
-		out[i%outLen] = acc
-	}
+	out := grow(&a.outBuf, outLen)
+	transform(in, out)
 	dOut, err := a.ep.DMAWrite(start+compute, outAddr, out)
 	if err != nil {
 		return err
 	}
 	total := (start + compute + dOut) - now
-	a.jobs++
-	a.bytesIn += uint64(inputLen)
-	a.bytesOut += uint64(outLen)
-	a.engine.At(now+total, func() {
-		done(Job{Kind: a.kind, InputLen: inputLen, OutputLen: outLen, Latency: total})
-	})
+	a.complete(now+total, done, Job{Kind: a.kind, InputLen: inputLen, OutputLen: outLen, Latency: total})
 	return nil
+}
+
+// grow returns (*buf)[:n], reallocating only when n exceeds its capacity.
+func grow(buf *[]byte, n int) []byte {
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	return (*buf)[:n]
+}
+
+// jobEvent is one scheduled completion, pooled with its callback so
+// steady-state offload does not allocate a closure per job.
+type jobEvent struct {
+	a    *Accel
+	done func(Job)
+	j    Job
+	fn   func()
+}
+
+// complete fires done(j) at `at` through a recycled completion event.
+func (a *Accel) complete(at sim.Time, done func(Job), j Job) {
+	var e *jobEvent
+	if k := len(a.jobFree); k > 0 {
+		e = a.jobFree[k-1]
+		a.jobFree[k-1] = nil
+		a.jobFree = a.jobFree[:k-1]
+	} else {
+		e = &jobEvent{a: a}
+		e.fn = e.run
+	}
+	e.done, e.j = done, j
+	a.engine.At(at, e.fn)
+}
+
+// run recycles the event before invoking the callback, so a callback
+// that submits a new job can reuse it.
+func (e *jobEvent) run() {
+	done, j := e.done, e.j
+	e.done = nil
+	e.a.jobFree = append(e.a.jobFree, e)
+	done(j)
+}
+
+// transform writes the device's output for in into out: each input
+// byte folds into a running checksum written at its index modulo
+// len(out); indexes no input byte reaches stay zero.
+func transform(in, out []byte) {
+	clear(out)
+	var acc byte
+	for i, b := range in {
+		acc ^= b + byte(i)
+		out[i%len(out)] = acc
+	}
 }
 
 // Transform computes the reference output for an input, for integrity
 // checks by callers.
+//
+//lint:allow testonly TestOffloadRoundTrip, TestVirtualAccelOffloadWithIntegrity and the forwarder tests check device output against it
 func Transform(in []byte, outLen int) []byte {
 	out := make([]byte, outLen)
-	var acc byte
-	for i, b := range in {
-		acc ^= b + byte(i)
-		out[i%outLen] = acc
-	}
+	transform(in, out)
 	return out
 }

@@ -105,9 +105,3 @@ func (p *Pool) Put(buf []byte) {
 	p.puts++
 	p.classes[c] = append(p.classes[c], buf[:0])
 }
-
-// Stats returns (gets, puts, misses); gets-misses is the recycle hit
-// count.
-func (p *Pool) Stats() (gets, puts, misses uint64) {
-	return p.gets, p.puts, p.misses
-}

@@ -19,7 +19,7 @@ func TestGetPutRecycles(t *testing.T) {
 	if len(b) != 70 {
 		t.Fatalf("recycled Get(70) length %d", len(b))
 	}
-	gets, puts, misses := p.Stats()
+	gets, puts, misses := p.gets, p.puts, p.misses
 	if gets != 2 || puts != 1 || misses != 1 {
 		t.Fatalf("stats = (%d,%d,%d), want (2,1,1)", gets, puts, misses)
 	}
@@ -44,7 +44,7 @@ func TestOversizeFallsBack(t *testing.T) {
 		t.Fatalf("oversize Get length %d", len(b))
 	}
 	p.Put(b) // dropped, not filed
-	if _, puts, _ := p.Stats(); puts != 0 {
+	if puts := p.puts; puts != 0 {
 		t.Fatal("oversize Put should be dropped")
 	}
 }
@@ -60,7 +60,7 @@ func TestPutForeignBuffer(t *testing.T) {
 	}
 	// Undersized buffers are dropped.
 	p.Put(make([]byte, 10))
-	if gets, puts, _ := p.Stats(); gets != 1 || puts != 1 {
+	if gets, puts := p.gets, p.puts; gets != 1 || puts != 1 {
 		t.Fatalf("stats (%d,%d), want (1,1)", gets, puts)
 	}
 }

@@ -131,18 +131,3 @@ func PlanAll(devices []Device) ([]Plan, error) {
 	return out, nil
 }
 
-// HostBudget checks whether a combined device set fits a host with the
-// given socket count.
-func HostBudget(devices []Device, sockets int) (lanes int, fits bool, err error) {
-	if sockets <= 0 {
-		return 0, false, errors.New("bwplan: sockets must be positive")
-	}
-	for _, d := range devices {
-		p, err := PlanDevice(d)
-		if err != nil {
-			return 0, false, err
-		}
-		lanes += p.Lanes
-	}
-	return lanes, lanes <= sockets*cxl.XeonLanesPerSocket, nil
-}

@@ -3,7 +3,6 @@ package bwplan
 import (
 	"testing"
 
-	"cxlpool/internal/cxl"
 )
 
 // The §5 examples verbatim: 200G NIC -> 8 lanes, 400G NIC -> 16, six
@@ -85,32 +84,6 @@ func TestPlanValidation(t *testing.T) {
 	}
 	if _, err := PlanAll([]Device{{Name: "bad"}}); err == nil {
 		t.Fatal("PlanAll passed a bad device")
-	}
-}
-
-func TestHostBudget(t *testing.T) {
-	// A host disaggregating one 400G NIC + six SSDs: 16 + 8 = 24 lanes,
-	// fits a single socket.
-	lanes, fits, err := HostBudget([]Device{
-		NICGbps("nic", 400, 1),
-		{Name: "ssds", Bandwidth: 5, Count: 6},
-	}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lanes != 24 || !fits {
-		t.Fatalf("lanes=%d fits=%v", lanes, fits)
-	}
-	// Two sockets make the 8x400G case feasible (107 -> 128 budget).
-	lanes, fits, err = HostBudget([]Device{NICGbps("8x400", 400, 8)}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !fits {
-		t.Fatalf("8x400G on 2 sockets: %d lanes should fit %d", lanes, 2*cxl.XeonLanesPerSocket)
-	}
-	if _, _, err := HostBudget(nil, 0); err == nil {
-		t.Fatal("zero sockets accepted")
 	}
 }
 

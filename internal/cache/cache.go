@@ -134,24 +134,6 @@ func New(host string, backing mem.Memory, capLines int) *Cache {
 	}
 }
 
-// Host returns the owning host name.
-func (c *Cache) Host() string { return c.host }
-
-// Backing returns the underlying memory.
-func (c *Cache) Backing() mem.Memory { return c.backing }
-
-// Stats returns (hits, misses, writebacks).
-func (c *Cache) Stats() (hits, misses, writebacks uint64) {
-	return c.hits, c.misses, c.writebacks
-}
-
-// Coherence returns the software-coherence work counters: NTStore calls,
-// lines flushed (FlushLine, FlushRange, NTStore's pre-flush, FlushAll),
-// and lines dropped by InvalidateRange.
-func (c *Cache) Coherence() (ntStores, flushes, invalidations uint64) {
-	return c.ntStores, c.flushes, c.invalidations
-}
-
 // unlink removes a line from the LRU list.
 func (c *Cache) unlink(l *line) {
 	if l.prev != nil {
@@ -493,10 +475,6 @@ func (c *Cache) ReadStream(now sim.Time, a mem.Address, buf []byte) (sim.Duratio
 	return c.backing.ReadAt(now, a, buf)
 }
 
-// Fence models SFENCE: in this single-threaded simulation stores are
-// already ordered, so it only costs time.
-func (c *Cache) Fence() sim.Duration { return FenceLatency }
-
 // FlushAll writes back and invalidates everything, in ascending address
 // order (used on host hot-remove so no dirty pool data is stranded in a
 // dead host's cache).
@@ -517,6 +495,3 @@ func (c *Cache) FlushAll(now sim.Time) (sim.Duration, error) {
 	}
 	return total, nil
 }
-
-// Len returns the number of resident lines.
-func (c *Cache) Len() int { return c.n }

@@ -51,7 +51,7 @@ func TestCacheHitFasterThanMiss(t *testing.T) {
 	if hit != HitLatency {
 		t.Fatalf("hit latency = %v, want %v", hit, HitLatency)
 	}
-	hits, misses, _ := c.Stats()
+	hits, misses := c.hits, c.misses
 	if hits != 1 || misses != 1 {
 		t.Fatalf("stats hits=%d misses=%d", hits, misses)
 	}
@@ -177,7 +177,7 @@ func TestEvictionWritesBackDirtyLines(t *testing.T) {
 	if _, err := c.Write(100, 4*64, []byte("overflow")); err != nil {
 		t.Fatal(err)
 	}
-	_, _, wb := c.Stats()
+	wb := c.writebacks
 	if wb != 1 {
 		t.Fatalf("writebacks = %d, want 1", wb)
 	}
@@ -188,8 +188,8 @@ func TestEvictionWritesBackDirtyLines(t *testing.T) {
 	if string(got) != "dirtydata" {
 		t.Fatalf("evicted line content in memory = %q", got)
 	}
-	if c.Len() != 4 {
-		t.Fatalf("resident lines = %d, want 4", c.Len())
+	if c.n != 4 {
+		t.Fatalf("resident lines = %d, want 4", c.n)
 	}
 }
 
@@ -210,11 +210,11 @@ func TestLRUOrderRespectsTouches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Line 0 must still be a hit.
-	hits0, _, _ := c.Stats()
+	hits0 := c.hits
 	if _, err := c.Read(4, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	hits1, _, _ := c.Stats()
+	hits1 := c.hits
 	if hits1 != hits0+1 {
 		t.Fatal("LRU evicted the recently-touched line")
 	}
@@ -270,8 +270,8 @@ func TestFlushAllWritesEverythingBack(t *testing.T) {
 	if _, err := c.FlushAll(1000); err != nil {
 		t.Fatal(err)
 	}
-	if c.Len() != 0 {
-		t.Fatalf("lines after FlushAll = %d", c.Len())
+	if c.n != 0 {
+		t.Fatalf("lines after FlushAll = %d", c.n)
 	}
 	for i := 0; i < 10; i++ {
 		got := make([]byte, 1)
@@ -298,7 +298,7 @@ func TestFlushCleanLineIsCheap(t *testing.T) {
 	if d != 0 {
 		t.Fatalf("clean flush cost %v, want 0 (no writeback)", d)
 	}
-	if c.Len() != 0 {
+	if c.n != 0 {
 		t.Fatal("clean flush did not invalidate")
 	}
 }
@@ -471,8 +471,8 @@ func TestReadStreamBypassesCacheButSeesFreshData(t *testing.T) {
 	}
 	// And it must not have populated the cache.
 	b.InvalidateRange(0, 256) // no-op if nothing cached
-	if b.Len() != 0 {
-		t.Fatalf("stream read left %d lines resident", b.Len())
+	if b.n != 0 {
+		t.Fatalf("stream read left %d lines resident", b.n)
 	}
 }
 
@@ -501,12 +501,12 @@ func TestCoherenceCounters(t *testing.T) {
 	if _, err := c.NTStore(20, 0, buf); err != nil {
 		t.Fatal(err)
 	}
-	nt, fl, inv := c.Coherence()
+	nt, fl, inv := c.ntStores, c.flushes, c.invalidations
 	if nt != 2 || fl != 2 || inv != 1 {
 		t.Fatalf("Coherence() = (%d, %d, %d), want (2, 2, 1)", nt, fl, inv)
 	}
-	if _, _, wb := c.Stats(); wb != 1 || c.Len() != 0 {
-		t.Fatalf("writebacks = %d, Len = %d; want 1, 0", wb, c.Len())
+	if wb := c.writebacks; wb != 1 || c.n != 0 {
+		t.Fatalf("writebacks = %d, Len = %d; want 1, 0", wb, c.n)
 	}
 }
 

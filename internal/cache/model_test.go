@@ -350,13 +350,13 @@ func TestCacheMatchesLineModel(t *testing.T) {
 			if (op == 0 || op == 6 || op == 7) && ec == nil && !bytes.Equal(bc, br) {
 				t.Fatalf("%s: bytes read differ", where)
 			}
-			h1, m1, w1 := c.Stats()
-			n1, f1, i1 := c.Coherence()
+			h1, m1, w1 := c.hits, c.misses, c.writebacks
+			n1, f1, i1 := c.ntStores, c.flushes, c.invalidations
 			if [6]uint64{h1, m1, w1, n1, f1, i1} != [6]uint64{r.hits, r.misses, r.writebacks, r.ntStores, r.flushes, r.invalidations} {
 				t.Fatalf("%s: counters differ", where)
 			}
-			if c.Len() != len(r.lines) {
-				t.Fatalf("%s: Len %d, model %d", where, c.Len(), len(r.lines))
+			if c.n != len(r.lines) {
+				t.Fatalf("%s: Len %d, model %d", where, c.n, len(r.lines))
 			}
 			var lru []mem.Address
 			for l := c.head; l != nil; l = l.next {

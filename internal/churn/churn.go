@@ -96,13 +96,6 @@ func (t *Trace) At(epoch int) []Event {
 // Len returns the event count.
 func (t *Trace) Len() int { return len(t.events) }
 
-// Events returns the whole schedule in canonical order.
-func (t *Trace) Events() []Event {
-	out := make([]Event, len(t.events))
-	copy(out, t.events)
-	return out
-}
-
 // Horizon returns the last event's epoch plus one (0 for an empty
 // trace) — the minimum epoch count that plays the whole schedule.
 func (t *Trace) Horizon() int {

@@ -185,7 +185,7 @@ func TestGenerateVariants(t *testing.T) {
 		if s.Arrivals == 0 {
 			t.Fatalf("%s: no arrivals", tc.name)
 		}
-		for _, e := range tr.Events() {
+		for _, e := range tr.events {
 			if e.Op == OpArrive && (e.Gbps <= 0 || e.Gbps > genGbpsCap || math.IsNaN(e.Gbps)) {
 				t.Fatalf("%s: demand %g outside (0, %g]", tc.name, e.Gbps, genGbpsCap)
 			}

@@ -120,16 +120,18 @@ func TestAdmitRejectTyped(t *testing.T) {
 	}
 }
 
+// Every rack is killed by an injected RackKill at the end of epoch 0, so
+// the arrival at epoch 1 finds nothing to serve it.
 func TestAdmitRejectUnservable(t *testing.T) {
-	tr := mustTrace(t, "0 arrive a 5 0")
-	c, err := New(churnConfig(t, 2, tr))
+	tr := mustTrace(t, "1 arrive a 5 0")
+	cfg := churnConfig(t, 2, tr)
+	cfg.Faults = rackKills(t, [3]int{0, 0, 5}, [3]int{1, 0, 5})
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range c.racks {
-		if err := c.KillRack(i); err != nil {
-			t.Fatal(err)
-		}
+	if _, err := c.RunEpoch(); err != nil {
+		t.Fatal(err)
 	}
 	st, err := c.RunEpoch()
 	if err != nil {

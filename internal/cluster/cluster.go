@@ -171,10 +171,9 @@ type Tenant struct {
 }
 
 // Rack returns the tenant's current rack index (-1 when unplaced).
+//
+//lint:allow testonly TestChaosClusterFaults checks where stranded tenants sit
 func (t *Tenant) Rack() int { return t.rack }
-
-// Gbps returns this epoch's demand.
-func (t *Tenant) Gbps() float64 { return t.gbps }
 
 // Traffic returns the tenant's cumulative offered and accepted bytes
 // (accepted = handed to the datapath without backpressure).
@@ -259,21 +258,19 @@ const (
 )
 
 // Draining reports whether the rack is under maintenance drain.
+//
+//lint:allow testonly TestChaosClusterFaults checks that no tenant waits on a dead rack while a live one has room
 func (r *Rack) Draining() bool { return r.draining }
 
 // Dead reports whether the rack is currently killed by a fault.
+//
+//lint:allow testonly TestChaosClusterFaults checks that no tenant waits on a dead rack while a live one has room
 func (r *Rack) Dead() bool { return r.dead }
-
-// CapacityGbps is the rack's aggregate pooled-NIC line rate.
-func (r *Rack) CapacityGbps() float64 { return r.capacityGbps }
 
 // effCapacityGbps is the rack's line rate minus capacity lost to host
 // kills (the shrunken inventory placement sees). Identical to
 // capacityGbps while no host is down.
 func (r *Rack) effCapacityGbps() float64 { return r.capacityGbps - r.lostGbps }
-
-// LostGbps is pooled capacity currently offline to host kills.
-func (r *Rack) LostGbps() float64 { return r.lostGbps }
 
 // Cluster is the global orchestrator.
 type Cluster struct {
@@ -960,17 +957,10 @@ func (c *Cluster) drainRack(idx int, by drainCause) (int, sim.Duration, error) {
 	return moved, cost, nil
 }
 
-// ReopenRack reverses a drain: the rack's orchestrator restarts and the
+// reopenRack reverses a drain: the rack's orchestrator restarts and the
 // rack takes placements again. Tenants do not move back eagerly — the
 // global sweep (or a repatriate rule) brings them home as pressure
 // allows.
-func (c *Cluster) ReopenRack(idx int) error {
-	if idx < 0 || idx >= len(c.racks) {
-		return fmt.Errorf("%w: %d", ErrUnknownRack, idx)
-	}
-	return c.reopenRack(idx)
-}
-
 func (c *Cluster) reopenRack(idx int) error {
 	rack := c.racks[idx]
 	if rack.dead {
@@ -981,41 +971,6 @@ func (c *Cluster) reopenRack(idx int) error {
 	}
 	rack.draining, rack.drainedBy = false, drainNone
 	return rack.Orch.Start()
-}
-
-// KillRack marks a rack dead, as a fault would: its orchestrator stops
-// and its residents are stranded in place (no evacuation — that is the
-// remediation layer's job). Killing a dead rack returns ErrRackDead.
-func (c *Cluster) KillRack(idx int) error {
-	if idx < 0 || idx >= len(c.racks) {
-		return fmt.Errorf("%w: %d", ErrUnknownRack, idx)
-	}
-	rack := c.racks[idx]
-	if rack.dead {
-		return fmt.Errorf("%w: %s", ErrRackDead, rack.Name)
-	}
-	rack.dead = true
-	rack.Orch.Stop()
-	return nil
-}
-
-// RepairRack revives a killed rack: the orchestrator restarts (unless
-// the rack is also draining) and the rack reads as freshly repaired to
-// the policy engine.
-func (c *Cluster) RepairRack(idx int) error {
-	if idx < 0 || idx >= len(c.racks) {
-		return fmt.Errorf("%w: %d", ErrUnknownRack, idx)
-	}
-	rack := c.racks[idx]
-	if !rack.dead {
-		return fmt.Errorf("cluster: %s is not dead", rack.Name)
-	}
-	rack.dead = false
-	rack.faultClearedAt = c.epoch
-	if !rack.draining {
-		return rack.Orch.Start()
-	}
-	return nil
 }
 
 // RunEpoch advances the whole cluster one epoch: update demand from

@@ -129,9 +129,9 @@ func TestTrafficFlowsAndRespectsCapacity(t *testing.T) {
 		for i := range c.Racks() {
 			offered += st.OfferedGbps[i]
 			delivered += st.DeliveredGbps[i]
-			if st.DeliveredGbps[i] > c.Racks()[i].CapacityGbps()*1.05 {
+			if st.DeliveredGbps[i] > c.Racks()[i].capacityGbps*1.05 {
 				t.Fatalf("epoch %d rack %d delivered %.0f Gbps over %.0f capacity",
-					st.Epoch, i, st.DeliveredGbps[i], c.Racks()[i].CapacityGbps())
+					st.Epoch, i, st.DeliveredGbps[i], c.Racks()[i].capacityGbps)
 			}
 		}
 		if offered == 0 || delivered == 0 {
@@ -328,11 +328,11 @@ func TestMigrationChargedByPath(t *testing.T) {
 // Heterogeneous racks derive capacity, pressure, and path bottlenecks
 // from their own specs.
 func TestHeterogeneousRackSpecs(t *testing.T) {
-	tp, err := topo.Heterogeneous([]topo.RackSpec{
+	tp, err := topo.New([][]topo.RackSpec{{
 		{},                         // 2x100G
 		{NICGbps: 40},              // 2x40G
 		{Hosts: 4, NICsPerHost: 2}, // 6x100G
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,8 +344,8 @@ func TestHeterogeneousRackSpecs(t *testing.T) {
 	}
 	want := []float64{200, 80, 600}
 	for i, r := range c.Racks() {
-		if r.CapacityGbps() != want[i] {
-			t.Fatalf("rack %d capacity = %.0f Gbps, want %.0f", i, r.CapacityGbps(), want[i])
+		if r.capacityGbps != want[i] {
+			t.Fatalf("rack %d capacity = %.0f Gbps, want %.0f", i, r.capacityGbps, want[i])
 		}
 	}
 	// The 40G rack's bundled uplink bottlenecks any path touching it.

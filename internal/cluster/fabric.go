@@ -18,16 +18,6 @@ type Tier struct {
 	Bandwidth mem.GBps
 }
 
-// RTT is the round-trip latency of the tier.
-func (t Tier) RTT() sim.Duration { return 2 * t.Latency }
-
-// Transfer returns the time to move n bytes over the tier: one
-// traversal plus serialization at the tier's bandwidth. A zero-byte
-// transfer costs one traversal.
-func (t Tier) Transfer(n int) sim.Duration {
-	return t.Latency + t.Bandwidth.TransferTime(n)
-}
-
 // String renders "name lat/bw".
 func (t Tier) String() string {
 	return fmt.Sprintf("%s %v / %.1f GB/s", t.Name, t.Latency, float64(t.Bandwidth))

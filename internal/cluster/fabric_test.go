@@ -7,25 +7,6 @@ import (
 	"cxlpool/internal/topo"
 )
 
-// Tier.Transfer edge cases: a zero-byte transfer pays exactly one
-// traversal, and zero-bandwidth tiers never divide by zero.
-func TestTierTransferEdgeCases(t *testing.T) {
-	tier := Tier{Name: "test", Latency: 1000, Bandwidth: 1} // 1 B/ns
-	if got := tier.Transfer(0); got != 1000 {
-		t.Fatalf("zero-byte Transfer = %v, want the latency alone", got)
-	}
-	if got := tier.Transfer(500); got != 1500 {
-		t.Fatalf("Transfer(500) = %v, want 1500", got)
-	}
-	if got := tier.RTT(); got != 2000 {
-		t.Fatalf("RTT = %v, want 2000", got)
-	}
-	free := Tier{Name: "node-local"}
-	if got := free.Transfer(1 << 20); got != 0 {
-		t.Fatalf("zero-tier Transfer = %v, want 0", got)
-	}
-}
-
 // Tier conversions preserve the path/link aggregates, and the default
 // fleet's derived tiers render the exact legacy strings the golden
 // pins.

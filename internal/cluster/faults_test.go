@@ -24,10 +24,27 @@ func faultConfig(t *testing.T, racks int, seed int64) Config {
 	}
 }
 
+// rackKills scripts one RackKill per (rack, at, duration) triple.
+func rackKills(t *testing.T, kills ...[3]int) *faults.Schedule {
+	t.Helper()
+	var evs []faults.Event
+	for _, k := range kills {
+		evs = append(evs, faults.Event{Class: faults.RackKill, Rack: k[0], At: k[1], Duration: k[2]})
+	}
+	s, err := faults.Scripted(evs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
 // Satellite regression: draining an already-draining or dead rack must
-// return the typed sentinel and leave placement state untouched.
+// return the typed sentinel and leave placement state untouched. Rack 2
+// dies by an injected RackKill at the end of the first epoch.
 func TestDrainRackTypedErrors(t *testing.T) {
-	c, err := New(faultConfig(t, 4, 9))
+	cfg := faultConfig(t, 4, 9)
+	cfg.Faults = rackKills(t, [3]int{2, 0, 100})
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,7 +61,7 @@ func TestDrainRackTypedErrors(t *testing.T) {
 	snapshot := func() string {
 		s := ""
 		for _, tn := range c.Tenants() {
-			s += fmt.Sprintf("%s@%d;", tn.Name, tn.Rack())
+			s += fmt.Sprintf("%s@%d;", tn.Name, tn.rack)
 		}
 		return s
 	}
@@ -59,8 +76,8 @@ func TestDrainRackTypedErrors(t *testing.T) {
 	}
 
 	// Drain of a dead rack: typed error, no tenant moves.
-	if err := c.KillRack(2); err != nil {
-		t.Fatal(err)
+	if !c.racks[2].dead {
+		t.Fatal("injected kill left rack 2 alive")
 	}
 	if _, _, err := c.DrainRack(2); !errors.Is(err, ErrRackDead) {
 		t.Fatalf("drain of dead rack = %v, want ErrRackDead", err)
@@ -77,59 +94,43 @@ func TestDrainRackTypedErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tn := range c.Tenants() {
-		if tn.Rack() == 1 {
+		if tn.rack == 1 {
 			t.Fatalf("tenant %s placed on draining rack", tn.Name)
 		}
 	}
-	if err := c.ReopenRack(1); err != nil {
+	if err := c.reopenRack(1); err != nil {
 		t.Fatal(err)
+	}
+	if err := c.reopenRack(2); !errors.Is(err, ErrRackDead) {
+		t.Fatalf("reopen of dead rack = %v, want ErrRackDead", err)
 	}
 }
 
+// A rack killed by injected faults stays dead, delivering nothing while
+// its epochs still run, until the last overlapping kill repairs: the
+// first kill covers epochs 0-2, the second (epochs 1-1) repairs inside
+// it and must not revive the rack.
 func TestKillAndRepairRack(t *testing.T) {
-	c, err := New(faultConfig(t, 3, 4))
+	cfg := faultConfig(t, 3, 4)
+	cfg.Faults = rackKills(t, [3]int{0, 0, 3}, [3]int{0, 1, 1})
+	c, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.KillRack(0); err != nil {
-		t.Fatal(err)
+	for e, wantDead := range []int{1, 1, 1, 0, 0} {
+		st, err := c.RunEpoch()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.DeadRacks != wantDead || c.racks[0].dead != (wantDead == 1) {
+			t.Fatalf("epoch %d: DeadRacks = %d, rack0 dead %v; want %d", e, st.DeadRacks, c.racks[0].dead, wantDead)
+		}
+		if wantDead == 1 && st.DeliveredGbps[0] != 0 {
+			t.Fatalf("epoch %d: dead rack delivered %.2f Gbps", e, st.DeliveredGbps[0])
+		}
 	}
-	if !c.Racks()[0].Dead() {
-		t.Fatal("killed rack not dead")
-	}
-	if err := c.KillRack(0); !errors.Is(err, ErrRackDead) {
-		t.Fatalf("double kill = %v, want ErrRackDead", err)
-	}
-	if err := c.ReopenRack(0); !errors.Is(err, ErrRackDead) {
-		t.Fatalf("reopen of dead rack = %v, want ErrRackDead", err)
-	}
-	if err := c.RepairRack(1); err == nil {
-		t.Fatal("repair of a live rack succeeded")
-	}
-	// A dead rack's epoch still runs (tenants accrue offered demand,
-	// deliver nothing) without touching the stopped engine.
-	st, err := c.RunEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DeadRacks != 1 {
-		t.Fatalf("DeadRacks = %d, want 1", st.DeadRacks)
-	}
-	if st.DeliveredGbps[0] != 0 {
-		t.Fatalf("dead rack delivered %.2f Gbps", st.DeliveredGbps[0])
-	}
-	if err := c.RepairRack(0); err != nil {
-		t.Fatal(err)
-	}
-	if c.Racks()[0].Dead() {
-		t.Fatal("repaired rack still dead")
-	}
-	st, err = c.RunEpoch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.DeadRacks != 0 {
-		t.Fatalf("DeadRacks = %d after repair", st.DeadRacks)
+	if c.racks[0].faultClearedAt != 3 {
+		t.Fatalf("rack 0 repaired at epoch %d, want 3", c.racks[0].faultClearedAt)
 	}
 }
 
@@ -194,8 +195,8 @@ func TestParseRuleGrammar(t *testing.T) {
 			t.Errorf("ParseRule(%q) = %v, want ErrBadRule", bad, err)
 		}
 	}
-	if def := DefaultRules(); def.Len() != 6 {
-		t.Fatalf("DefaultRules has %d rules", def.Len())
+	if def := DefaultRules(); len(def.rules) != 6 {
+		t.Fatalf("DefaultRules has %d rules", len(def.rules))
 	}
 }
 
@@ -356,7 +357,7 @@ func TestCoolingAndHostFaultsDegradeCapacity(t *testing.T) {
 			t.Fatalf("rack %d capScale = %g under cracfail, want %g", i, r.capScale, faults.DefaultCRACScale)
 		}
 	}
-	if got := racks[3].LostGbps(); got != 100 {
+	if got := racks[3].lostGbps; got != 100 {
 		t.Fatalf("hostkill lost %g Gbps, want the host's 100", got)
 	}
 	if got := racks[3].effCapacityGbps(); got != 100 {
@@ -366,8 +367,8 @@ func TestCoolingAndHostFaultsDegradeCapacity(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i, r := range racks {
-		if r.capScale != 1 || r.LostGbps() != 0 {
-			t.Fatalf("rack %d not healed: scale=%g lost=%g", i, r.capScale, r.LostGbps())
+		if r.capScale != 1 || r.lostGbps != 0 {
+			t.Fatalf("rack %d not healed: scale=%g lost=%g", i, r.capScale, r.lostGbps)
 		}
 	}
 }

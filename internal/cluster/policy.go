@@ -331,9 +331,6 @@ func (r *Remediation) Rules() []Rule {
 	return out
 }
 
-// Len is the rule count.
-func (r *Remediation) Len() int { return len(r.rules) }
-
 // String renders the rule set one rule per line.
 func (r *Remediation) String() string {
 	texts := make([]string, len(r.rules))

@@ -36,14 +36,8 @@ type Agent struct {
 	pollAt sim.Time
 	pollFn func()
 
-	// Stats.
-	polls     uint64
+	// forwarded counts TX descriptors handed to devices.
 	forwarded uint64
-	completed uint64
-	// faults counts consumed-with-error polls: the payload was handled
-	// (the ring had advanced past it) but the receiver's cursor publish
-	// failed — see the PollInto contract.
-	faults uint64
 
 	// pollBuf is the agent's channel-payload scratch, reused across
 	// PollInto calls: descriptors are decoded (copied into fields)
@@ -65,19 +59,6 @@ func newAgent(h *Host, interval sim.Duration) *Agent {
 	}
 	return &Agent{host: h, interval: interval}
 }
-
-// Polls returns the number of poll sweeps executed.
-func (a *Agent) Polls() uint64 { return a.polls }
-
-// Forwarded returns the number of TX descriptors forwarded to devices.
-func (a *Agent) Forwarded() uint64 { return a.forwarded }
-
-// Completed returns the number of completions delivered to applications.
-func (a *Agent) Completed() uint64 { return a.completed }
-
-// Faults returns the number of consumed-with-error polls (handled
-// payloads whose consumer-cursor publish failed).
-func (a *Agent) Faults() uint64 { return a.faults }
 
 // addService registers a channel with the agent and starts the poll
 // loop if needed.
@@ -130,7 +111,6 @@ func (a *Agent) sweep(t sim.Time) {
 	if a.stopped {
 		return
 	}
-	a.polls++
 	// Compact away services deactivated since the last sweep, so a
 	// long-lived host does not scan an ever-growing tail of dead
 	// entries (every vNIC rebind retires two). Compaction happens only
@@ -170,7 +150,6 @@ func (a *Agent) drain(cur sim.Time, s *service) sim.Time {
 		// handled or it would be lost (the ring has advanced past it).
 		cur = s.handle(cur, payload)
 		if err != nil {
-			a.faults++
 			return cur
 		}
 	}

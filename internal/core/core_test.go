@@ -128,8 +128,8 @@ func TestRemoteVNICDatapath(t *testing.T) {
 	if sent != 1 || delivered != 1 || txErr != 0 {
 		t.Fatalf("stats sent=%d delivered=%d errs=%d", sent, delivered, txErr)
 	}
-	if h1.Agent().Forwarded() != 1 {
-		t.Fatalf("owner agent forwarded = %d", h1.Agent().Forwarded())
+	if h1.agent.forwarded != 1 {
+		t.Fatalf("owner agent forwarded = %d", h1.agent.forwarded)
 	}
 }
 

@@ -50,15 +50,6 @@ func NewFlowSender(id uint64, vnic *VirtualNIC, dst string) *FlowSender {
 	return &FlowSender{id: id, dst: dst, vnic: vnic}
 }
 
-// VNIC returns the current egress device.
-func (f *FlowSender) VNIC() *VirtualNIC { return f.vnic }
-
-// Seq returns the next sequence number.
-func (f *FlowSender) Seq() uint64 { return f.seq }
-
-// Migrations counts egress switches.
-func (f *FlowSender) Migrations() uint64 { return f.migrations }
-
 // Send transmits one segment of the stream.
 func (f *FlowSender) Send(now sim.Time, data []byte) (sim.Duration, error) {
 	if cap(f.segBuf) < flowHeaderSize+len(data) {
@@ -129,9 +120,6 @@ func NewFlowReceiver(id uint64, maxHold int, deliver func(now sim.Time, data []b
 func (r *FlowReceiver) Stats() (delivered, reordered, duplicates uint64) {
 	return r.delivered, r.reordered, r.duplicates
 }
-
-// Pending returns the number of out-of-order segments held.
-func (r *FlowReceiver) Pending() int { return len(r.buffered) }
 
 // Attach registers this receiver as the OnReceive handler of a virtual
 // NIC, filtering for its flow id. Non-flow traffic and other flows are

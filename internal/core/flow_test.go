@@ -97,10 +97,12 @@ func TestFlowSeamlessMigration(t *testing.T) {
 			t.Fatalf("stream reordered at %d after migration", i)
 		}
 	}
-	if fs.Migrations() != 1 {
-		t.Fatalf("migrations = %d", fs.Migrations())
+	if fs.migrations != 1 {
+		t.Fatalf("migrations = %d", fs.migrations)
 	}
-	if vA.Phys().TxBytes() == 0 || vB.Phys().TxBytes() == 0 {
+	_, _, txA, _, _ := vA.Phys().Stats()
+	_, _, txB, _, _ := vB.Phys().Stats()
+	if txA == 0 || txB == 0 {
 		t.Fatal("both paths should have carried traffic")
 	}
 	_ = fr
@@ -121,8 +123,8 @@ func TestFlowReceiverReordersExplicitly(t *testing.T) {
 	if err := fr.Ingest(0, seg(2, 'C')); err != nil {
 		t.Fatal(err)
 	}
-	if fr.Pending() != 1 {
-		t.Fatalf("pending = %d", fr.Pending())
+	if len(fr.buffered) != 1 {
+		t.Fatalf("pending = %d", len(fr.buffered))
 	}
 	if err := fr.Ingest(0, seg(0, 'A')); err != nil {
 		t.Fatal(err)

@@ -139,20 +139,6 @@ func newForwarder[P interface{ AttachHostMemory(mem.Memory) }](user *Host, name 
 	}
 }
 
-// Name returns the device name.
-func (f *forwarder[P]) Name() string { return f.name }
-
-// Owner returns the serving host (nil when unbound).
-func (f *forwarder[P]) Owner() *Host { return f.owner }
-
-// Phys returns the backing device (nil when unbound).
-func (f *forwarder[P]) Phys() P { return f.phys }
-
-// Stats returns (submitted, completed, errors, remaps).
-func (f *forwarder[P]) Stats() (submitted, completed, errs, remaps uint64) {
-	return f.submitted, f.completed, f.errs, f.remaps
-}
-
 // bind tears down the current binding and builds one on owner with
 // slot-byte buffers. Operations outstanding on the old binding fail back
 // to their callers once the new one stands. On error the partial state
@@ -350,7 +336,6 @@ func (f *forwarder[P]) handleUser(cur sim.Time, payload []byte) sim.Time {
 	}
 	f.bufFree = append(f.bufFree, p.buf)
 	f.completed++
-	f.user.agent.completed++
 	if opErr == nil {
 		f.Latency.Record(float64(cur - p.start))
 	}

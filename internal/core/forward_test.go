@@ -18,12 +18,11 @@ type fwdRig struct {
 	pod   *Pod
 	hosts []*Host
 	dev   interface {
-		Owner() *Host
-		Stats() (submitted, completed, errs, remaps uint64)
+		bound() (owner *Host, phys bool)
+		stats() (submitted, completed, errs, remaps uint64)
 	}
-	unbound func() bool // Phys() == nil
-	bind    func(i int) (sim.Duration, error)
-	remap   func(i int) (sim.Duration, error)
+	bind  func(i int) (sim.Duration, error)
+	remap func(i int) (sim.Duration, error)
 	// op issues the i-th operation of a self-checking sequence; done
 	// reports its error and whether its result bytes were right.
 	op func(now sim.Time, i int, done func(err error, verified bool)) (sim.Duration, error)
@@ -67,9 +66,8 @@ func ssdFwdRig(t *testing.T, shared int) *fwdRig {
 	v := NewVirtualSSD(hosts[0], "vs", VSSDConfig{})
 	return &fwdRig{
 		pod: p, hosts: hosts, dev: v,
-		unbound: func() bool { return v.Phys() == nil },
-		bind:    func(i int) (sim.Duration, error) { return v.Bind(hosts[i+1], ssds[i]) },
-		remap:   func(i int) (sim.Duration, error) { return v.Remap(hosts[i+1], ssds[i]) },
+		bind:  func(i int) (sim.Duration, error) { return v.Bind(hosts[i+1], ssds[i]) },
+		remap: func(i int) (sim.Duration, error) { return v.Remap(hosts[i+1], ssds[i]) },
 		op: func(now sim.Time, i int, done func(error, bool)) (sim.Duration, error) {
 			lba := int64(i/2) * ssdsim.SectorSize
 			want := fwdPattern(i/2, ssdsim.SectorSize)
@@ -95,13 +93,12 @@ func accelFwdRig(t *testing.T, shared int) *fwdRig {
 	v := NewVirtualAccel(hosts[0], "va", VAccelConfig{BufSize: 4096})
 	return &fwdRig{
 		pod: p, hosts: hosts, dev: v,
-		unbound: func() bool { return v.Phys() == nil },
-		bind:    func(i int) (sim.Duration, error) { return v.Bind(hosts[i+1], accels[i]) },
-		remap:   func(i int) (sim.Duration, error) { return v.Remap(hosts[i+1], accels[i]) },
+		bind:  func(i int) (sim.Duration, error) { return v.Bind(hosts[i+1], accels[i]) },
+		remap: func(i int) (sim.Duration, error) { return v.Remap(hosts[i+1], accels[i]) },
 		op: func(now sim.Time, i int, done func(error, bool)) (sim.Duration, error) {
 			in := fwdPattern(i, 4096)
 			return v.Submit(now, in, func(_ sim.Time, out []byte, err error) {
-				done(err, err == nil && bytes.Equal(out, accelsim.Transform(in, v.Phys().OutputLen(len(in)))))
+				done(err, err == nil && bytes.Equal(out, accelsim.Transform(in, v.phys.OutputLen(len(in)))))
 			})
 		},
 	}
@@ -113,6 +110,16 @@ var fwdRigs = []struct {
 }{
 	{"ssd", ssdFwdRig},
 	{"accel", accelFwdRig},
+}
+
+// stats reads a forwarder's counters.
+func (f *forwarder[P]) stats() (submitted, completed, errs, remaps uint64) {
+	return f.submitted, f.completed, f.errs, f.remaps
+}
+
+// bound reports the serving host and whether a backing device is set.
+func (f *forwarder[P]) bound() (owner *Host, phys bool) {
+	return f.owner, any(f.phys) != any(*new(P))
 }
 
 // runTo advances the rig's engine to t.
@@ -152,7 +159,7 @@ func TestForwarderRemapReturnsSegment(t *testing.T) {
 			if got := r.pod.sharedAlloc.FreeBytes(); got != free {
 				t.Fatalf("after drain: shared segment free %d B, want %d", got, free)
 			}
-			_, completed, errs, remaps := r.dev.Stats()
+			_, completed, errs, remaps := r.dev.stats()
 			if completed != 0 || errs != 4 || remaps != 4 {
 				t.Fatalf("stats completed=%d errs=%d remaps=%d, want 0/4/4", completed, errs, remaps)
 			}
@@ -173,7 +180,7 @@ func TestForwarderFailedBindUnbinds(t *testing.T) {
 			if got := r.pod.sharedAlloc.FreeBytes(); got != free {
 				t.Fatalf("failed bind: shared segment free %d B, want %d (leaked %d B)", got, free, free-got)
 			}
-			if r.dev.Owner() != nil || !r.unbound() {
+			if owner, phys := r.dev.bound(); owner != nil || phys {
 				t.Fatal("failed bind left the device bound")
 			}
 			if _, err := r.op(0, 0, nil); !errors.Is(err, ErrNotBound) {
@@ -216,14 +223,14 @@ func TestForwarderRemapMidOperation(t *testing.T) {
 			}
 			run(0, 2)
 			owner := r.hosts[1].agent
-			forwarded := owner.Forwarded()
+			forwarded := owner.forwarded
 			var abortErr error
 			aborted := 0
 			if _, err := r.op(now, 100, func(err error, _ bool) { abortErr = err; aborted++ }); err != nil {
 				t.Fatal(err)
 			}
 			// Step until the owner's agent has handed the op to the device.
-			for start := now; owner.Forwarded() == forwarded; {
+			for start := now; owner.forwarded == forwarded; {
 				now += 100
 				if now > start+20*sim.Microsecond {
 					t.Fatal("owner never forwarded the operation")
@@ -247,7 +254,7 @@ func TestForwarderRemapMidOperation(t *testing.T) {
 			if aborted != 1 {
 				t.Fatalf("aborted operation called back %d times", aborted)
 			}
-			submitted, completed, errs, remaps := r.dev.Stats()
+			submitted, completed, errs, remaps := r.dev.stats()
 			if submitted != 3+later || completed != 2+later || errs != 1 || remaps != 1 {
 				t.Fatalf("stats submitted=%d completed=%d errs=%d remaps=%d, want %d/%d/1/1",
 					submitted, completed, errs, remaps, 3+later, 2+later)

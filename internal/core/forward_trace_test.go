@@ -15,7 +15,7 @@ import (
 // and Crypto alternating) per step from a diskless user host; every
 // device fails at step 12 and is repaired before step 15, so error
 // replies are pinned too. Every submit's cost and error, every
-// callback's time, length, byte sum and error, each device's Stats and
+// callback's time, length, byte sum and error, each device's stats and
 // Latency sum, the engine's event count and the next RNG draw must match
 // the literals below.
 func TestForwarderTracePinned(t *testing.T) {
@@ -109,9 +109,9 @@ func TestForwarderTracePinned(t *testing.T) {
 		stats func() (uint64, uint64, uint64, uint64)
 		sum   float64
 	}{
-		{"vs", vs.Stats, vs.Latency.Sum()},
-		{"vc", vc.Stats, vc.Latency.Sum()},
-		{"vk", vk.Stats, vk.Latency.Sum()},
+		{"vs", vs.stats, vs.Latency.Sum()},
+		{"vc", vc.stats, vc.Latency.Sum()},
+		{"vk", vk.stats, vk.Latency.Sum()},
 	} {
 		a, b, c, d := dev.stats()
 		got = append(got, fmt.Sprintf("stats %s %d %d %d %d latency=%g", dev.name, a, b, c, d, dev.sum))

@@ -242,17 +242,8 @@ type Host struct {
 // Name returns the host name.
 func (h *Host) Name() string { return h.name }
 
-// Pod returns the owning pod.
-func (h *Host) Pod() *Pod { return h.pod }
-
 // Cache returns the host's CPU cache (over DDR + pool window).
 func (h *Host) Cache() *cache.Cache { return h.cache }
-
-// Space returns the host's physical address space.
-func (h *Host) Space() *mem.AddressSpace { return h.space }
-
-// Agent returns the host's pooling agent.
-func (h *Host) Agent() *Agent { return h.agent }
 
 // AddNIC physically attaches a new NIC to this host and wires it to the
 // pod fabric. The NIC's DMA view is the host's address space, so it can
@@ -307,14 +298,5 @@ func (h *Host) AddSSD(name string, capacity int64) (*ssdsim.SSD, error) {
 		h.ssds = make(map[string]*ssdsim.SSD)
 	}
 	h.ssds[name] = s
-	return s, nil
-}
-
-// SSD returns a physically attached SSD by name.
-func (h *Host) SSD(name string) (*ssdsim.SSD, error) {
-	s, ok := h.ssds[name]
-	if !ok {
-		return nil, fmt.Errorf("core: host %s has no SSD %q", h.name, name)
-	}
 	return s, nil
 }

@@ -15,8 +15,8 @@ import (
 // CXL shared segment; jobs are submitted over shared-memory channels;
 // the owner's agent drives the physical device. Deploying a 1:16
 // accelerator:host ratio becomes a software mapping instead of a
-// hardware topology. The transport, with Name, Owner, Phys, Stats and
-// Latency, is the embedded forwarder.
+// hardware topology. The transport, with its Latency recorder, is the
+// embedded forwarder.
 type VirtualAccel struct {
 	forwarder[*accelsim.Accel]
 	// bufSize is the input capacity; each slot holds the input in its
@@ -77,6 +77,8 @@ func (v *VirtualAccel) Bind(owner *Host, phys *accelsim.Accel) (sim.Duration, er
 }
 
 // Remap rebinds to a different accelerator; outstanding jobs abort.
+//
+//lint:allow testonly TestVirtualAccelFailureAndRemap and TestForwarderRemapMidOperation pin device failover
 func (v *VirtualAccel) Remap(owner *Host, phys *accelsim.Accel) (sim.Duration, error) {
 	return v.remap(v.Bind(owner, phys))
 }

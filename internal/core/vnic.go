@@ -397,7 +397,6 @@ func (v *VirtualNIC) handleUser(cur sim.Time, payload []byte) sim.Time {
 	switch desc.kind {
 	case descRxComp:
 		cur = v.deliverRx(cur, desc)
-		v.user.agent.completed++
 	case descTxComp:
 		v.txFree = append(v.txFree, desc.addr)
 	}

@@ -16,7 +16,7 @@ import (
 // and completions travel over the shared-memory channels. Because NVMe
 // latencies are tens of microseconds, the sub-microsecond forwarding
 // cost is proportionally even smaller than for NICs. The transport,
-// with Name, Owner, Phys, Stats and Latency, is the embedded forwarder.
+// with its Latency recorder, is the embedded forwarder.
 type VirtualSSD struct {
 	forwarder[*ssdsim.SSD]
 	bufSize int
@@ -69,6 +69,8 @@ func (v *VirtualSSD) Bind(owner *Host, phys *ssdsim.SSD) (sim.Duration, error) {
 
 // Remap rebinds to a different SSD (failover). Outstanding I/O on the
 // old device is failed back to callers.
+//
+//lint:allow testonly TestVirtualSSDRemapAbortsOutstanding and TestForwarderRemapMidOperation pin device failover
 func (v *VirtualSSD) Remap(owner *Host, phys *ssdsim.SSD) (sim.Duration, error) {
 	return v.remap(v.Bind(owner, phys))
 }

@@ -26,12 +26,6 @@ func ssdRig(t testing.TB) (*Pod, *Host, *Host, *ssdsim.SSD) {
 
 func TestHostSSDRegistry(t *testing.T) {
 	_, _, h1, _ := ssdRig(t)
-	if _, err := h1.SSD("host1-ssd0"); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := h1.SSD("ghost"); err == nil {
-		t.Fatal("unknown SSD found")
-	}
 	if _, err := h1.AddSSD("host1-ssd0", 1<<20); err == nil {
 		t.Fatal("duplicate SSD accepted")
 	}
@@ -90,7 +84,7 @@ func TestVirtualSSDWriteReadRemote(t *testing.T) {
 	if e2e > ssdsim.ReadLatency+20*sim.Microsecond {
 		t.Fatalf("remote read %v: forwarding overhead too high", e2e)
 	}
-	sub, comp, ioErr, _ := v.Stats()
+	sub, comp, ioErr, _ := v.stats()
 	if sub != 2 || comp != 2 || ioErr != 0 {
 		t.Fatalf("stats sub=%d comp=%d err=%d", sub, comp, ioErr)
 	}
@@ -213,7 +207,7 @@ func TestVirtualSSDRemapAbortsOutstanding(t *testing.T) {
 	if !aborted {
 		t.Fatal("outstanding I/O not aborted by remap")
 	}
-	_, _, ioErr, remaps := v.Stats()
+	_, _, ioErr, remaps := v.stats()
 	if ioErr != 1 || remaps != 1 {
 		t.Fatalf("stats err=%d remaps=%d", ioErr, remaps)
 	}

@@ -28,6 +28,23 @@ func TestCXLLatencyMultiplierMatchesPaper(t *testing.T) {
 	}
 }
 
+// freePorts counts d's unconnected ports.
+func freePorts(d *MHD) int {
+	n := 0
+	for _, p := range d.ports {
+		if p == nil {
+			n++
+		}
+	}
+	return n
+}
+
+// sameBase interleaves members that all cover [0, size) at stripe
+// granularity.
+func sameBase(size int, members ...mem.Memory) *Interleave {
+	return NewInterleaveAt(0, size, members, make([]mem.Address, len(members)))
+}
+
 func newTestMHD(t *testing.T) *MHD {
 	t.Helper()
 	return NewMHD("test", 0x1000, 1<<20, 4, sim.NewRand(1))
@@ -35,8 +52,8 @@ func newTestMHD(t *testing.T) *MHD {
 
 func TestMHDConnectDisconnect(t *testing.T) {
 	d := newTestMHD(t)
-	if d.FreePorts() != 4 {
-		t.Fatalf("free ports = %d", d.FreePorts())
+	if freePorts(d) != 4 {
+		t.Fatalf("free ports = %d", freePorts(d))
 	}
 	var views []*PortView
 	for i := 0; i < 4; i++ {
@@ -52,8 +69,8 @@ func TestMHDConnectDisconnect(t *testing.T) {
 	if err := views[2].Detach(); err != nil {
 		t.Fatal(err)
 	}
-	if d.FreePorts() != 1 {
-		t.Fatalf("free ports after detach = %d", d.FreePorts())
+	if freePorts(d) != 1 {
+		t.Fatalf("free ports after detach = %d", freePorts(d))
 	}
 	if _, err := d.Connect(X8Gen5); err != nil {
 		t.Fatalf("reconnect after detach: %v", err)
@@ -111,14 +128,14 @@ func TestMHDFailureInjection(t *testing.T) {
 	d := newTestMHD(t)
 	v, _ := d.Connect(X8Gen5)
 	buf := make([]byte, 8)
-	d.Fail()
+	d.failed = true
 	if _, err := v.ReadAt(0, 0x1000, buf); !errors.Is(err, ErrDeviceFailed) {
 		t.Fatalf("failed read err = %v", err)
 	}
 	if _, err := v.WriteAt(0, 0x1000, buf); !errors.Is(err, ErrDeviceFailed) {
 		t.Fatalf("failed write err = %v", err)
 	}
-	d.Repair()
+	d.failed = false
 	if _, err := v.ReadAt(0, 0x1000, buf); err != nil {
 		t.Fatalf("read after repair: %v", err)
 	}
@@ -190,7 +207,7 @@ func TestInterleaveStripesAcrossMembers(t *testing.T) {
 	// build two regions and confirm stripe routing via access counts.
 	r0 := mem.NewRegion("m0", 0, 4096, mem.Timing{ReadLatency: 10}, nil)
 	r1 := mem.NewRegion("m1", 0, 4096, mem.Timing{ReadLatency: 10}, nil)
-	iv := NewInterleave(0, 4096, r0, r1)
+	iv := sameBase(4096, r0, r1)
 	buf := make([]byte, 64)
 	// Stripe 0 -> r0, stripe 1 -> r1.
 	if _, err := iv.ReadAt(0, 0, buf); err != nil {
@@ -209,7 +226,7 @@ func TestInterleaveStripesAcrossMembers(t *testing.T) {
 func TestInterleaveSplitsSpanningAccess(t *testing.T) {
 	r0 := mem.NewRegion("m0", 0, 4096, mem.Timing{ReadLatency: 10}, nil)
 	r1 := mem.NewRegion("m1", 0, 4096, mem.Timing{ReadLatency: 10}, nil)
-	iv := NewInterleave(0, 4096, r0, r1)
+	iv := sameBase(4096, r0, r1)
 	// Write 600B spanning stripes 0,1,2 -> r0 gets stripes 0,2; r1 gets 1.
 	data := make([]byte, 600)
 	for i := range data {
@@ -242,7 +259,7 @@ func TestInterleaveParallelLatency(t *testing.T) {
 	// Latency of a spanning access is max of parts, not sum.
 	r0 := mem.NewRegion("m0", 0, 4096, mem.Timing{ReadLatency: 100}, nil)
 	r1 := mem.NewRegion("m1", 0, 4096, mem.Timing{ReadLatency: 100}, nil)
-	iv := NewInterleave(0, 4096, r0, r1)
+	iv := sameBase(4096, r0, r1)
 	buf := make([]byte, 512) // spans exactly 2 stripes
 	d, err := iv.ReadAt(0, 0, buf)
 	if err != nil {
@@ -255,7 +272,7 @@ func TestInterleaveParallelLatency(t *testing.T) {
 
 func TestInterleaveOutOfRange(t *testing.T) {
 	r0 := mem.NewRegion("m0", 0, 4096, mem.Timing{}, nil)
-	iv := NewInterleave(0, 4096, r0)
+	iv := sameBase(4096, r0)
 	if _, err := iv.ReadAt(0, 4090, make([]byte, 64)); !errors.Is(err, mem.ErrOutOfRange) {
 		t.Fatalf("err = %v", err)
 	}
@@ -284,11 +301,11 @@ func hostName(i int) string { return string(rune('A' + i)) }
 
 func TestPodAttachDetach(t *testing.T) {
 	p := newTestPod(t, 4)
-	if len(p.Hosts()) != 4 {
-		t.Fatalf("hosts = %v", p.Hosts())
+	if len(p.order) != 4 {
+		t.Fatalf("hosts = %v", p.order)
 	}
-	if p.Redundancy() != 2 {
-		t.Fatalf("redundancy = %d", p.Redundancy())
+	if len(p.devices) != 2 {
+		t.Fatalf("redundancy = %d", len(p.devices))
 	}
 	if _, err := p.AttachHost("A"); err == nil {
 		t.Fatal("duplicate attach not rejected")
@@ -299,8 +316,8 @@ func TestPodAttachDetach(t *testing.T) {
 	if err := p.DetachHost("B"); !errors.Is(err, ErrNotAttached) {
 		t.Fatalf("double detach err = %v", err)
 	}
-	if len(p.Hosts()) != 3 {
-		t.Fatalf("hosts after detach = %v", p.Hosts())
+	if len(p.order) != 3 {
+		t.Fatalf("hosts after detach = %v", p.order)
 	}
 	// Port freed: a new host can attach.
 	if _, err := p.AttachHost("Z"); err != nil {
@@ -317,8 +334,8 @@ func TestPodPortExhaustion(t *testing.T) {
 
 func TestPodSharedSegmentVisibleToAllHosts(t *testing.T) {
 	p := newTestPod(t, 2)
-	a, _ := p.Attachment("A")
-	b, _ := p.Attachment("B")
+	a := p.hosts["A"]
+	b := p.hosts["B"]
 	msg := []byte("shared cxl segment")
 	addr := p.SharedBase() + 128
 	if _, err := a.Memory().WriteAt(0, addr, msg); err != nil {
@@ -335,22 +352,22 @@ func TestPodSharedSegmentVisibleToAllHosts(t *testing.T) {
 
 func TestPodDynamicCapacity(t *testing.T) {
 	p := newTestPod(t, 2)
-	a, _ := p.Attachment("A")
-	free0 := p.FreeCapacity()
+	a := p.hosts["A"]
+	free0 := p.alloc.FreeBytes()
 	addr, err := a.Alloc(1 << 20)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeCapacity() >= free0 {
+	if p.alloc.FreeBytes() >= free0 {
 		t.Fatal("allocation did not consume capacity")
 	}
-	if addr < p.SharedBase()+mem.Address(p.SharedSize()) {
+	if addr < p.SharedBase()+mem.Address(p.sharedSize) {
 		t.Fatal("dynamic allocation overlaps shared segment")
 	}
 	if err := a.Free(addr); err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeCapacity() != free0 {
+	if p.alloc.FreeBytes() != free0 {
 		t.Fatal("free did not restore capacity")
 	}
 	if err := a.Free(addr); err == nil {
@@ -360,8 +377,8 @@ func TestPodDynamicCapacity(t *testing.T) {
 
 func TestPodDetachReleasesAllocations(t *testing.T) {
 	p := newTestPod(t, 2)
-	a, _ := p.Attachment("A")
-	free0 := p.FreeCapacity()
+	a := p.hosts["A"]
+	free0 := p.alloc.FreeBytes()
 	if _, err := a.Alloc(1 << 20); err != nil {
 		t.Fatal(err)
 	}
@@ -371,11 +388,11 @@ func TestPodDetachReleasesAllocations(t *testing.T) {
 	if err := p.DetachHost("A"); err != nil {
 		t.Fatal(err)
 	}
-	if p.FreeCapacity() != free0 {
-		t.Fatalf("detach leaked pool capacity: %d != %d", p.FreeCapacity(), free0)
+	if p.alloc.FreeBytes() != free0 {
+		t.Fatalf("detach leaked pool capacity: %d != %d", p.alloc.FreeBytes(), free0)
 	}
 	// The detached handle reports nothing held: the pool took it back.
-	if got := a.AllocatedBytes(); got != 0 {
+	if got := a.allocTotal; got != 0 {
 		t.Fatalf("detached AllocatedBytes = %d, want 0", got)
 	}
 	// Allocation through a detached attachment fails.
@@ -412,10 +429,10 @@ func TestLinkCongestionUnderLoad(t *testing.T) {
 	if d2 <= d1 {
 		t.Fatalf("no serialization on link: %v then %v", d1, d2)
 	}
-	if v.Link().CongestionEvents() == 0 {
+	if v.link.congested == 0 {
 		t.Fatal("congestion not recorded")
 	}
-	tx, rx := v.Link().BytesMoved()
+	tx, rx := v.link.bytesTx, v.link.bytesRx
 	if tx == 0 || rx != 8192 {
 		t.Fatalf("bytes moved tx=%d rx=%d", tx, rx)
 	}
@@ -464,7 +481,7 @@ func BenchmarkPortViewRead64(b *testing.B) {
 func BenchmarkInterleaveRead4K(b *testing.B) {
 	r0 := mem.NewRegion("m0", 0, 1<<20, mem.Timing{ReadLatency: 237, Bandwidth: 30}, nil)
 	r1 := mem.NewRegion("m1", 0, 1<<20, mem.Timing{ReadLatency: 237, Bandwidth: 30}, nil)
-	iv := NewInterleave(0, 1<<20, r0, r1)
+	iv := sameBase(1<<20, r0, r1)
 	buf := make([]byte, 4096)
 	for i := 0; i < b.N; i++ {
 		if _, err := iv.ReadAt(sim.Time(i*10000), 0, buf); err != nil {

@@ -34,8 +34,8 @@ func dcdPod(t *testing.T, quota int) *Pod {
 // the previous tenant's data.
 func TestDCDSanitizeOnReallocation(t *testing.T) {
 	p := dcdPod(t, 0)
-	a, _ := p.Attachment("A")
-	b, _ := p.Attachment("B")
+	a := p.hosts["A"]
+	b := p.hosts["B"]
 
 	addr, err := a.Alloc(4096)
 	if err != nil {
@@ -70,14 +70,14 @@ func TestDCDSanitizeOnReallocation(t *testing.T) {
 
 func TestDCDFreshAllocationIsZeroed(t *testing.T) {
 	p := dcdPod(t, 0)
-	a, _ := p.Attachment("A")
+	a := p.hosts["A"]
 	// Dirty the media directly (simulating factory/debug state).
 	dev := p.Devices()[0]
 	junk := make([]byte, 1024)
 	for i := range junk {
 		junk[i] = 0xAB
 	}
-	if err := dev.Media().Poke(dev.Base()+mem.Address(p.SharedSize()), junk); err != nil {
+	if err := dev.media.Poke(dev.Base()+mem.Address(p.sharedSize), junk); err != nil {
 		t.Fatal(err)
 	}
 	addr, err := a.Alloc(1024)
@@ -97,8 +97,8 @@ func TestDCDFreshAllocationIsZeroed(t *testing.T) {
 
 func TestDCDQuotaEnforced(t *testing.T) {
 	p := dcdPod(t, 1<<20) // 1 MiB per host
-	a, _ := p.Attachment("A")
-	b, _ := p.Attachment("B")
+	a := p.hosts["A"]
+	b := p.hosts["B"]
 	addr, err := a.Alloc(1 << 19) // 512 KiB
 	if err != nil {
 		t.Fatal(err)
@@ -120,14 +120,14 @@ func TestDCDQuotaEnforced(t *testing.T) {
 	if _, err := a.Alloc(1 << 19); err != nil {
 		t.Fatalf("alloc after free: %v", err)
 	}
-	if a.AllocatedBytes() != 1<<20 {
-		t.Fatalf("accounting: %d", a.AllocatedBytes())
+	if a.allocTotal != 1<<20 {
+		t.Fatalf("accounting: %d", a.allocTotal)
 	}
 }
 
 func TestDCDQuotaUnlimitedByDefault(t *testing.T) {
 	p := dcdPod(t, 0)
-	a, _ := p.Attachment("A")
+	a := p.hosts["A"]
 	// Grab most of the pool: no quota in the way (only capacity).
 	if _, err := a.Alloc(6 << 20); err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestPodSanitizeBeforeAttach(t *testing.T) {
 		dirty[i] = 0xAB
 	}
 	for _, d := range p.Devices() {
-		if err := d.Media().Poke(d.Base(), dirty); err != nil {
+		if err := d.media.Poke(d.Base(), dirty); err != nil {
 			t.Fatal(err)
 		}
 	}

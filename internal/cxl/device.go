@@ -12,7 +12,6 @@ import (
 var (
 	ErrNoPorts      = errors.New("cxl: device has no free ports")
 	ErrBadPort      = errors.New("cxl: invalid port")
-	ErrPortTaken    = errors.New("cxl: port already connected")
 	ErrNotAttached  = errors.New("cxl: host not attached to pool")
 	ErrPoolExceeded = errors.New("cxl: allocation exceeds pool capacity")
 )
@@ -23,7 +22,6 @@ var (
 // this repository (request/response pairs) a single busy pointer per
 // direction is sufficient.
 type Link struct {
-	cfg    LinkConfig
 	propag sim.Duration // per-crossing propagation/flit latency
 	// bps is the bandwidth in bytes per second, float64(bandwidth)*1e9,
 	// and xfer64/xfer256 the transfer times of a 64 B request flit and a
@@ -51,22 +49,12 @@ func NewLink(cfg LinkConfig, propagation sim.Duration) *Link {
 	}
 	bw := cfg.Bandwidth()
 	return &Link{
-		cfg:     cfg,
 		propag:  propagation,
 		bps:     float64(bw) * 1e9,
 		xfer64:  bw.TransferTime(mem.CachelineSize),
 		xfer256: bw.TransferTime(InterleaveGranularity),
 	}
 }
-
-// Config returns the link shape.
-func (l *Link) Config() LinkConfig { return l.cfg }
-
-// BytesMoved returns cumulative (tx, rx) byte counts.
-func (l *Link) BytesMoved() (tx, rx uint64) { return l.bytesTx, l.bytesRx }
-
-// CongestionEvents returns how many transfers had to queue.
-func (l *Link) CongestionEvents() uint64 { return l.congested }
 
 // transferTime is mem.GBps.TransferTime at the link's bandwidth.
 func (l *Link) transferTime(n int) sim.Duration {
@@ -133,16 +121,6 @@ type MHD struct {
 // ErrDeviceFailed is returned for accesses to a failed MHD.
 var ErrDeviceFailed = errors.New("cxl: device failed")
 
-// Fail marks the device failed; all accesses through any port error
-// until Repair. Used by the §5 reliability analyses.
-func (d *MHD) Fail() { d.failed = true }
-
-// Repair clears a failure.
-func (d *MHD) Repair() { d.failed = false }
-
-// Failed reports the failure state.
-func (d *MHD) Failed() bool { return d.failed }
-
 // NewMHD creates an MHD with size bytes of media and the given port
 // count, based at base in the shared pool address map.
 func NewMHD(name string, base mem.Address, size, ports int, rng *sim.Rand) *MHD {
@@ -171,32 +149,11 @@ func newMHD(name string, media *mem.Region, ports int) *MHD {
 	}
 }
 
-// Name returns the device name.
-func (d *MHD) Name() string { return d.name }
-
 // Base returns the device's base address in the pool map.
 func (d *MHD) Base() mem.Address { return d.media.Base() }
 
 // Size returns the media capacity in bytes.
 func (d *MHD) Size() int { return d.media.Size() }
-
-// Ports returns the total port count.
-func (d *MHD) Ports() int { return len(d.ports) }
-
-// FreePorts returns the number of unconnected ports.
-func (d *MHD) FreePorts() int {
-	n := 0
-	for _, p := range d.ports {
-		if p == nil {
-			n++
-		}
-	}
-	return n
-}
-
-// Media exposes the raw media region (timing included) for white-box
-// tests and pool bookkeeping.
-func (d *MHD) Media() *mem.Region { return d.media }
 
 // Connect attaches a link to the first free port and returns a PortView:
 // the device's memory as seen through that port. Each host gets its own
@@ -235,15 +192,6 @@ type PortView struct {
 	link     *Link
 	detached bool
 }
-
-// Device returns the underlying MHD.
-func (v *PortView) Device() *MHD { return v.dev }
-
-// Port returns the port index on the device.
-func (v *PortView) Port() int { return v.port }
-
-// Link returns the port's link for congestion inspection.
-func (v *PortView) Link() *Link { return v.link }
 
 // Detach marks the view unusable (hot-removed host). Subsequent accesses
 // fail with ErrNotAttached.

@@ -68,7 +68,7 @@ func newDiffSide(t *testing.T, devices int, link LinkConfig, seed int64, forceSp
 			members := make([]mem.Memory, devices)
 			bases := make([]mem.Address, devices)
 			for i := range members {
-				members[i] = splitOnly{att.View(i)}
+				members[i] = splitOnly{att.views[i]}
 				bases[i] = p.Devices()[i].Base()
 			}
 			iv = NewInterleaveAt(bases[0], p.Capacity(), members, bases)
@@ -110,20 +110,16 @@ func (dp *diffPair) step(t *testing.T, i int, op []byte) {
 	switch kind := op[0] % 16; {
 	case kind == 14:
 		for _, s := range []diffSide{dp.store, dp.split} {
-			if d := s.pod.Devices()[dev]; d.Failed() {
-				d.Repair()
+			if d := s.pod.Devices()[dev]; d.failed {
+				d.failed = false
 			} else {
-				d.Fail()
+				d.failed = true
 			}
 		}
 	case kind == 15:
 		var errs [2]error
 		for j, s := range []diffSide{dp.store, dp.split} {
-			att, err := s.pod.Attachment(fmt.Sprintf("h%d", host))
-			if err != nil {
-				t.Fatal(err)
-			}
-			errs[j] = att.View(dev).Detach()
+			errs[j] = s.pod.hosts[fmt.Sprintf("h%d", host)].views[dev].Detach()
 		}
 		if fmt.Sprint(errs[0]) != fmt.Sprint(errs[1]) {
 			t.Fatalf("op %d: detach: store path %v, split %v", i, errs[0], errs[1])
@@ -205,7 +201,7 @@ func poolPeek(t *testing.T, p *Pod, off int, buf []byte) {
 		k := min(InterleaveGranularity-within, len(buf))
 		d := p.Devices()[s%n]
 		local := d.Base() + mem.Address((s/n)*InterleaveGranularity+within)
-		if err := d.Media().Peek(local, buf[:k]); err != nil {
+		if err := d.media.Peek(local, buf[:k]); err != nil {
 			t.Fatal(err)
 		}
 		buf, off = buf[k:], off+k
@@ -218,20 +214,20 @@ func (dp *diffPair) compare(t *testing.T, i int) {
 	t.Helper()
 	a, b := dp.store, dp.split
 	for h := 0; h < diffHosts; h++ {
-		attA, _ := a.pod.Attachment(fmt.Sprintf("h%d", h))
-		attB, _ := b.pod.Attachment(fmt.Sprintf("h%d", h))
+		attA := a.pod.hosts[fmt.Sprintf("h%d", h)]
+		attB := b.pod.hosts[fmt.Sprintf("h%d", h)]
 		for d := range a.pod.Devices() {
-			la, lb := attA.View(d).Link(), attB.View(d).Link()
-			txA, rxA := la.BytesMoved()
-			txB, rxB := lb.BytesMoved()
-			if txA != txB || rxA != rxB || la.CongestionEvents() != lb.CongestionEvents() {
+			la, lb := attA.views[d].link, attB.views[d].link
+			txA, rxA := la.bytesTx, la.bytesRx
+			txB, rxB := lb.bytesTx, lb.bytesRx
+			if txA != txB || rxA != rxB || la.congested != lb.congested {
 				t.Fatalf("op %d: host %d device %d link: store path tx %d rx %d cong %d; split tx %d rx %d cong %d",
-					i, h, d, txA, rxA, la.CongestionEvents(), txB, rxB, lb.CongestionEvents())
+					i, h, d, txA, rxA, la.congested, txB, rxB, lb.congested)
 			}
 		}
 	}
 	for d, devA := range a.pod.Devices() {
-		ma, mb := devA.Media(), b.pod.Devices()[d].Media()
+		ma, mb := devA.media, b.pod.Devices()[d].media
 		ra, wa, bra, bwa := ma.Stats()
 		rb, wb, brb, bwb := mb.Stats()
 		if ra != rb || wa != wb || bra != brb || bwa != bwb || ma.QueueingDelay() != mb.QueueingDelay() {

@@ -24,12 +24,10 @@ const (
 	// local DDR5. Writes retire from store buffers faster than reads.
 	DDRIdleWriteLatency sim.Duration = 80
 
-	// CXLLatencyMultiplier is the idle-latency ratio of direct-attached
-	// CXL to local DDR5 measured on an Astera Leo controller (§3: 2.15×).
-	CXLLatencyMultiplier = 2.15
-
 	// CXLIdleReadLatency is direct (switch-less, MHD) CXL idle
-	// load-to-use latency: 2.15 × 110 ns ≈ 237 ns.
+	// load-to-use latency: 2.15 × 110 ns ≈ 237 ns, the idle-latency
+	// ratio of direct-attached CXL to local DDR5 measured on an Astera
+	// Leo controller (§3).
 	CXLIdleReadLatency sim.Duration = 237
 	// CXLIdleWriteLatency is the CXL posted-write latency. Non-temporal
 	// stores to CXL complete once the write is accepted by the

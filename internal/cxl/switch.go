@@ -31,9 +31,6 @@ func NewSwitch(name string) *Switch {
 	}
 }
 
-// Name returns the switch name.
-func (s *Switch) Name() string { return s.name }
-
 // FreeLanes returns unallocated lane capacity.
 func (s *Switch) FreeLanes() int { return s.lanes - s.usedLanes }
 
@@ -132,22 +129,6 @@ type Interleave struct {
 	// laid out so.
 	store *mem.Store
 	views []*PortView
-}
-
-// NewInterleave builds an interleave set over [base, base+size) backed by
-// the given members. Members see the same global addresses; they are
-// expected to be PortViews of MHDs that each cover the whole range (the
-// usual "one MHD, many links" layout) or distinct devices mapped modulo
-// stripes. For distinct-device layouts use NewInterleaveAt instead.
-func NewInterleave(base mem.Address, size int, members ...mem.Memory) *Interleave {
-	if len(members) == 0 {
-		panic("cxl: interleave with no members")
-	}
-	bases := make([]mem.Address, len(members))
-	for i := range bases {
-		bases[i] = base
-	}
-	return newInterleave(base, size, members, bases)
 }
 
 // NewInterleaveAt builds an interleave whose members sit at distinct

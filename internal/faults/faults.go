@@ -91,12 +91,6 @@ func (c Class) String() string {
 	}
 }
 
-// Kills reports whether the class takes whole racks offline (the kill
-// classes are what KillFraction and the dead-rack analytics count).
-func (c Class) Kills() bool {
-	return c == RackKill || c == RowKill || c == PDUFail
-}
-
 // RepairPriority orders the finite repair-crew queue: dead racks
 // first (0), degradations second (1), flapping devices last (2). Lower
 // is more urgent.
@@ -314,6 +308,8 @@ func (s *Schedule) At(epoch int) []Event {
 }
 
 // Horizon is the epoch by which every fault has repaired.
+//
+//lint:allow testonly TestChaosClusterFaults runs each storm past its last repair
 func (s *Schedule) Horizon() int {
 	h := 0
 	for _, e := range s.events {
@@ -572,14 +568,6 @@ func (m *MTTR) RecordWait(c Class, epochs int) {
 	}
 	m.waitCount[c]++
 	m.waitTotal[c] += epochs
-}
-
-// WaitCount returns crew assignments recorded for a class.
-func (m *MTTR) WaitCount(c Class) int {
-	if c < 0 || c >= classCount {
-		return 0
-	}
-	return m.waitCount[c]
 }
 
 // MeanWaitEpochs returns the class's mean repair-queue wait in epochs

@@ -310,8 +310,8 @@ func TestMTTRAccounting(t *testing.T) {
 	m.RecordWait(RackKill, 0)
 	m.RecordWait(RackKill, 4)
 	m.RecordWait(Class(99), 7) // out of range: ignored
-	if m.WaitCount(RackKill) != 2 || m.WaitCount(Brownout) != 0 {
-		t.Fatalf("wait counts wrong: %d/%d", m.WaitCount(RackKill), m.WaitCount(Brownout))
+	if m.waitCount[RackKill] != 2 || m.waitCount[Brownout] != 0 {
+		t.Fatalf("wait counts wrong: %d/%d", m.waitCount[RackKill], m.waitCount[Brownout])
 	}
 	if got := m.MeanWaitEpochs(RackKill); got != 2 {
 		t.Errorf("MeanWaitEpochs = %g, want 2", got)
@@ -323,16 +323,16 @@ func TestMTTRAccounting(t *testing.T) {
 
 func TestClassCrewMetadata(t *testing.T) {
 	for _, c := range []Class{RackKill, RowKill, PDUFail} {
-		if !c.Kills() || c.RepairPriority() != 0 {
-			t.Errorf("%v: Kills=%v priority=%d, want kill at priority 0", c, c.Kills(), c.RepairPriority())
+		if c.RepairPriority() != 0 {
+			t.Errorf("%v: priority=%d, want kill at priority 0", c, c.RepairPriority())
 		}
 	}
 	for _, c := range []Class{SlowCXL, Brownout, CRACFail, HostKill} {
-		if c.Kills() || c.RepairPriority() != 1 {
-			t.Errorf("%v: Kills=%v priority=%d, want degraded at priority 1", c, c.Kills(), c.RepairPriority())
+		if c.RepairPriority() != 1 {
+			t.Errorf("%v: priority=%d, want degraded at priority 1", c, c.RepairPriority())
 		}
 	}
-	if FlapNIC.Kills() || FlapNIC.RepairPriority() != 2 {
+	if FlapNIC.RepairPriority() != 2 {
 		t.Errorf("flapnic priority = %d, want 2", FlapNIC.RepairPriority())
 	}
 	if (Event{Class: CRACFail}).Scale() != DefaultCRACScale {

@@ -59,6 +59,7 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	Info     *types.Info
+	Refs     *Refs // module-wide references, for TestOnly; may be nil
 
 	report func(Diagnostic)
 }
@@ -70,7 +71,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 
 // All returns the full analyzer suite in stable order.
 func All() []*Analyzer {
-	return []*Analyzer{MapIter, WallClock, BufOwn, SimHandle}
+	return []*Analyzer{MapIter, WallClock, BufOwn, SimHandle, TestOnly}
 }
 
 // analyzerNames is the set of valid names for //lint:allow directives.
@@ -178,7 +179,9 @@ func codeLines(fset *token.FileSet, file *ast.File) map[int]bool {
 // suppression directives, and returns the surviving findings in stable
 // (file, line, column, analyzer) order. Malformed directives are
 // returned as findings regardless of what they would have suppressed.
-func Check(pkg *Package, analyzers []*Analyzer) []Diagnostic {
+// refs is the module-wide index TestOnly reads; with nil it reports
+// nothing.
+func Check(pkg *Package, analyzers []*Analyzer, refs *Refs) []Diagnostic {
 	var raw []Diagnostic
 	for _, a := range analyzers {
 		pass := &Pass{
@@ -187,6 +190,7 @@ func Check(pkg *Package, analyzers []*Analyzer) []Diagnostic {
 			Files:    pkg.Files,
 			Pkg:      pkg.Types,
 			Info:     pkg.Info,
+			Refs:     refs,
 		}
 		pass.report = func(d Diagnostic) { raw = append(raw, d) }
 		a.Run(pass)

@@ -9,39 +9,39 @@ import "testing"
 // fixture sources.
 
 func TestMapIterFixture(t *testing.T) {
-	RunFixture("testdata", "orch", []*Analyzer{MapIter}, t.Errorf)
+	runFixture(t, "orch", []*Analyzer{MapIter})
 }
 
 func TestMapIterIgnoresNonCriticalPackages(t *testing.T) {
-	RunFixture("testdata", "other", []*Analyzer{MapIter}, t.Errorf)
+	runFixture(t, "other", []*Analyzer{MapIter})
 }
 
 func TestWallClockFixture(t *testing.T) {
-	RunFixture("testdata", "internal/clockuse", []*Analyzer{WallClock}, t.Errorf)
+	runFixture(t, "internal/clockuse", []*Analyzer{WallClock})
 }
 
 func TestWallClockAllowsCmd(t *testing.T) {
-	RunFixture("testdata", "cmd/tool", []*Analyzer{WallClock}, t.Errorf)
+	runFixture(t, "cmd/tool", []*Analyzer{WallClock})
 }
 
 func TestBufOwnFixture(t *testing.T) {
-	RunFixture("testdata", "bufuse", []*Analyzer{BufOwn}, t.Errorf)
+	runFixture(t, "bufuse", []*Analyzer{BufOwn})
 }
 
 func TestSimHandleFixture(t *testing.T) {
-	RunFixture("testdata", "simuse", []*Analyzer{SimHandle}, t.Errorf)
+	runFixture(t, "simuse", []*Analyzer{SimHandle})
 }
 
 // The full suite over each fixture must yield exactly the findings the
 // per-analyzer runs assert: no analyzer fires outside its domain.
 func TestFullSuiteOnFixtures(t *testing.T) {
 	for _, path := range []string{"orch", "other", "internal/clockuse", "bufuse", "simuse"} {
-		RunFixture("testdata", path, All(), t.Errorf)
+		runFixture(t, path, All())
 	}
 }
 
 func TestAnalyzerNames(t *testing.T) {
-	want := []string{"mapiter", "wallclock", "bufown", "simhandle"}
+	want := []string{"mapiter", "wallclock", "bufown", "simhandle", "testonly"}
 	got := All()
 	if len(got) != len(want) {
 		t.Fatalf("All() returned %d analyzers, want %d", len(got), len(want))
@@ -60,11 +60,11 @@ func TestAnalyzerNames(t *testing.T) {
 // nothing. (Asserted directly: a directive comment cannot also carry a
 // want comment.)
 func TestBadDirectives(t *testing.T) {
-	pkg, err := LoadFixture("testdata", "baddir/orch")
+	pkg, _, err := loadFixture("baddir/orch")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := Check(pkg, []*Analyzer{MapIter})
+	diags := Check(pkg, []*Analyzer{MapIter}, nil)
 	var bad, mapiter []string
 	for _, d := range diags {
 		switch d.Analyzer {

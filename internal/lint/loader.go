@@ -12,10 +12,6 @@ import (
 	"go/parser"
 	"go/token"
 	"go/types"
-	"os"
-	"path/filepath"
-	"sort"
-	"strings"
 )
 
 // Package is one loaded, type-checked unit of analysis: a package's
@@ -77,80 +73,4 @@ func (l *Loader) LoadFiles(path string, filenames []string) (*Package, error) {
 		return nil, fmt.Errorf("lint: type-checking %s: %w", path, err)
 	}
 	return &Package{Path: path, Fset: l.Fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// fixtureImporter resolves imports for analysistest-style fixtures: an
-// import path found under testdata/src/<path> is type-checked from the
-// fixture tree (so fixtures can model the bufpool/sim contract packages
-// without importing the real ones); anything else falls through to the
-// stdlib source importer.
-type fixtureImporter struct {
-	root string
-	fset *token.FileSet
-	std  types.Importer
-	pkgs map[string]*types.Package
-}
-
-func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	if p, ok := fi.pkgs[path]; ok {
-		return p, nil
-	}
-	dir := filepath.Join(fi.root, filepath.FromSlash(path))
-	if st, err := os.Stat(dir); err == nil && st.IsDir() {
-		pkg, err := loadFixtureDir(fi.fset, dir, path, fi)
-		if err != nil {
-			return nil, err
-		}
-		fi.pkgs[path] = pkg.Types
-		return pkg.Types, nil
-	}
-	return fi.std.Import(path)
-}
-
-// loadFixtureDir parses every .go file in dir and type-checks them as
-// import path path.
-func loadFixtureDir(fset *token.FileSet, dir, path string, imp types.Importer) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var filenames []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			filenames = append(filenames, filepath.Join(dir, e.Name()))
-		}
-	}
-	sort.Strings(filenames)
-	if len(filenames) == 0 {
-		return nil, fmt.Errorf("lint: fixture %s has no .go files", dir)
-	}
-	var files []*ast.File
-	for _, fn := range filenames {
-		f, err := parser.ParseFile(fset, fn, nil, parser.ParseComments)
-		if err != nil {
-			return nil, err
-		}
-		files = append(files, f)
-	}
-	info := newInfo()
-	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(path, fset, files, info)
-	if err != nil {
-		return nil, fmt.Errorf("lint: type-checking fixture %s: %w", path, err)
-	}
-	return &Package{Path: path, Fset: fset, Files: files, Types: tpkg, Info: info}, nil
-}
-
-// LoadFixture loads testdata/src/<path> (relative to root) for the
-// analysistest harness.
-func LoadFixture(root, path string) (*Package, error) {
-	fset := token.NewFileSet()
-	fi := &fixtureImporter{
-		root: filepath.Join(root, "src"),
-		fset: fset,
-		std:  importer.ForCompiler(fset, "source", nil),
-		pkgs: make(map[string]*types.Package),
-	}
-	dir := filepath.Join(fi.root, filepath.FromSlash(path))
-	return loadFixtureDir(fset, dir, path, fi)
 }

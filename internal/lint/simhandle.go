@@ -8,15 +8,15 @@ import (
 
 // SimHandle enforces the sim event handle-validity contract along
 // straight-line paths: after Engine.Cancel(h), a canceled handle's only
-// documented affordances are Canceled() and When() — it must never be
-// re-canceled, rescheduled, passed on, stored, or returned. (A canceled
-// handle stays valid forever by contract, but every *use* of one beyond
-// the two queries signals the single-owner pattern has been broken:
-// some party still believes the event is pending.)
+// documented affordance is Canceled() — it must never be re-canceled,
+// rescheduled, passed on, stored, or returned. (A canceled handle stays
+// valid forever by contract, but every *use* of one beyond that query
+// signals the single-owner pattern has been broken: some party still
+// believes the event is pending.)
 //
 // The check is deliberately lexical — the straight-line statement
 // sequence after the Cancel, including statements nested under later
-// branches — and resets when the handle is reassigned (h = eng.After(...)
+// branches — and resets when the handle is reassigned (h = eng.At(...)
 // schedules a fresh event; h = nil clears the reference, which is the
 // idiomatic post-Cancel hygiene this repository follows).
 var SimHandle = &Analyzer{
@@ -83,7 +83,7 @@ func cancelArg(pass *Pass, stmt ast.Stmt) *types.Var {
 }
 
 // checkHandleList scans one statement list: once a handle is canceled,
-// later statements in the same list may only query it (Canceled, When),
+// later statements in the same list may only query it (Canceled),
 // nil-compare it, or reassign it.
 func checkHandleList(pass *Pass, list []ast.Stmt) {
 	canceled := make(map[*types.Var]token.Pos)
@@ -101,7 +101,7 @@ func checkHandleList(pass *Pass, list []ast.Stmt) {
 			continue
 		}
 		// Reassignment anywhere in the statement revives or clears the
-		// handle before its uses are judged: h = eng.After(...) is a
+		// handle before its uses are judged: h = eng.At(...) is a
 		// fresh event, h = nil is post-Cancel hygiene.
 		for v := range canceled {
 			if reassignsVar(pass, stmt, v) {
@@ -137,8 +137,8 @@ func reportCanceledUses(pass *Pass, stmt ast.Stmt, canceled map[*types.Var]token
 	ast.Inspect(stmt, func(n ast.Node) bool {
 		switch t := n.(type) {
 		case *ast.SelectorExpr:
-			// h.Canceled() / h.When() are the documented queries.
-			if t.Sel.Name == "Canceled" || t.Sel.Name == "When" {
+			// h.Canceled() is the documented query.
+			if t.Sel.Name == "Canceled" {
 				if id, ok := ast.Unparen(t.X).(*ast.Ident); ok {
 					allowed[id] = true
 				}
@@ -166,7 +166,7 @@ func reportCanceledUses(pass *Pass, stmt ast.Stmt, canceled map[*types.Var]token
 			return true
 		}
 		if pos, isCanceled := canceled[v]; isCanceled {
-			pass.Reportf(id.Pos(), "use of handle %s after Cancel at line %d: only Canceled/When are valid on a canceled handle",
+			pass.Reportf(id.Pos(), "use of handle %s after Cancel at line %d: only Canceled is valid on a canceled handle",
 				v.Name(), pass.Fset.Position(pos).Line)
 		}
 		return true

@@ -7,10 +7,8 @@ type Event struct{ at int64 }
 
 func (e *Event) Canceled() bool { return false }
 
-func (e *Event) When() int64 { return e.at }
-
 type Engine struct{}
 
-func (e *Engine) After(d int64, fn func()) *Event { return &Event{at: d} }
+func (e *Engine) At(t int64, fn func()) *Event { return &Event{at: t} }
 
 func (e *Engine) Cancel(ev *Event) {}

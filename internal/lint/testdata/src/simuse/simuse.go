@@ -5,25 +5,25 @@ package simuse
 import "sim"
 
 func doubleCancel(eng *sim.Engine) {
-	ev := eng.After(10, func() {})
+	ev := eng.At(10, func() {})
 	eng.Cancel(ev)
 	eng.Cancel(ev) // want "already canceled"
 }
 
 func useAfterCancel(eng *sim.Engine, sink func(*sim.Event)) {
-	ev := eng.After(10, func() {})
+	ev := eng.At(10, func() {})
 	eng.Cancel(ev)
 	sink(ev) // want "use of handle ev after Cancel"
 }
 
 func returnAfterCancel(eng *sim.Engine) *sim.Event {
-	ev := eng.After(10, func() {})
+	ev := eng.At(10, func() {})
 	eng.Cancel(ev)
 	return ev // want "use of handle ev after Cancel"
 }
 
 func storeAfterCancel(eng *sim.Engine, pending []*sim.Event) []*sim.Event {
-	ev := eng.After(10, func() {})
+	ev := eng.At(10, func() {})
 	eng.Cancel(ev)
 	pending = append(pending, ev) // want "use of handle ev after Cancel"
 	return pending
@@ -32,7 +32,7 @@ func storeAfterCancel(eng *sim.Engine, pending []*sim.Event) []*sim.Event {
 // nestedUse: the check is lexical over the statement list, so uses
 // nested under later branches are still caught.
 func nestedUse(eng *sim.Engine, sink func(*sim.Event), cond bool) {
-	ev := eng.After(10, func() {})
+	ev := eng.At(10, func() {})
 	eng.Cancel(ev)
 	if cond {
 		sink(ev) // want "use of handle ev after Cancel"
@@ -41,32 +41,32 @@ func nestedUse(eng *sim.Engine, sink func(*sim.Event), cond bool) {
 
 // --- The documented affordances, which must stay silent. ---
 
-// queriesAllowed: Canceled and When are valid forever on a canceled
-// handle — that is the whole point of the never-recycle guarantee.
-func queriesAllowed(eng *sim.Engine) (bool, int64) {
-	ev := eng.After(10, func() {})
+// queriesAllowed: Canceled is valid forever on a canceled handle —
+// that is the whole point of the never-recycle guarantee.
+func queriesAllowed(eng *sim.Engine) bool {
+	ev := eng.At(10, func() {})
 	eng.Cancel(ev)
-	return ev.Canceled(), ev.When()
+	return ev.Canceled()
 }
 
 func nilCompareAllowed(eng *sim.Engine) bool {
-	ev := eng.After(10, func() {})
+	ev := eng.At(10, func() {})
 	eng.Cancel(ev)
 	return ev != nil
 }
 
-// reassignRevives: a fresh After result is a fresh event; the old
+// reassignRevives: a fresh At result is a fresh event; the old
 // cancellation no longer applies to the variable.
 func reassignRevives(eng *sim.Engine) {
-	ev := eng.After(10, func() {})
+	ev := eng.At(10, func() {})
 	eng.Cancel(ev)
-	ev = eng.After(20, func() {})
+	ev = eng.At(20, func() {})
 	eng.Cancel(ev)
 }
 
 // clearRef: nilling the handle is the idiomatic post-Cancel hygiene.
 func clearRef(eng *sim.Engine) {
-	ev := eng.After(10, func() {})
+	ev := eng.At(10, func() {})
 	eng.Cancel(ev)
 	ev = nil
 	_ = ev
@@ -75,7 +75,7 @@ func clearRef(eng *sim.Engine) {
 // annotated: the double-cancel no-op is occasionally the thing under
 // test; the annotation records that.
 func annotated(eng *sim.Engine) {
-	ev := eng.After(10, func() {})
+	ev := eng.At(10, func() {})
 	eng.Cancel(ev)
 	eng.Cancel(ev) //lint:allow simhandle the double-cancel no-op is exercised deliberately
 }

@@ -33,7 +33,6 @@ type Allocator struct {
 	// (i+1)*leafLines) of the range; nil leaves and leaves past the end
 	// of the slice have no starts.
 	starts []*startLeaf
-	live   int
 }
 
 type span struct {
@@ -63,9 +62,6 @@ func NewAllocator(base Address, size int) *Allocator {
 	}
 }
 
-// Size returns the total managed bytes.
-func (a *Allocator) Size() int { return a.size }
-
 // FreeBytes returns the number of currently unallocated bytes.
 func (a *Allocator) FreeBytes() int {
 	n := 0
@@ -74,9 +70,6 @@ func (a *Allocator) FreeBytes() int {
 	}
 	return n
 }
-
-// UsedBytes returns the number of currently allocated bytes.
-func (a *Allocator) UsedBytes() int { return a.size - a.FreeBytes() }
 
 // Alloc returns the base address of a new cacheline-aligned block of at
 // least n bytes (rounded up to a multiple of the cacheline size).
@@ -94,7 +87,6 @@ func (a *Allocator) Alloc(n int) (Address, error) {
 				a.free[i] = span{base: s.base + Address(n), size: s.size - n}
 			}
 			a.setStart(a.line(addr))
-			a.live++
 			return addr, nil
 		}
 	}
@@ -110,7 +102,6 @@ func (a *Allocator) Free(addr Address) error {
 		return fmt.Errorf("%w: %#x", ErrBadFree, uint64(addr))
 	}
 	a.clearStart(line)
-	a.live--
 	// The block ends at the next start or the next free span.
 	idx := sort.Search(len(a.free), func(i int) bool { return a.free[i].base > addr })
 	limit := a.size / CachelineSize
@@ -134,9 +125,6 @@ func (a *Allocator) Free(addr Address) error {
 	}
 	return nil
 }
-
-// AllocCount returns the number of live allocations.
-func (a *Allocator) AllocCount() int { return a.live }
 
 // line returns the index of the cacheline at addr within the range.
 func (a *Allocator) line(addr Address) int { return int(addr-a.base) / CachelineSize }

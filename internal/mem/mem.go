@@ -46,17 +46,6 @@ func AlignUp(a Address) Address {
 	return (a + CachelineSize - 1) &^ (CachelineSize - 1)
 }
 
-// Lines returns the number of cachelines touched by an access of size
-// bytes at address a.
-func Lines(a Address, size int) int {
-	if size <= 0 {
-		return 0
-	}
-	first := AlignDown(a)
-	last := AlignDown(a + Address(size) - 1)
-	return int((last-first)/CachelineSize) + 1
-}
-
 // Errors returned by memory operations.
 var (
 	ErrOutOfRange = errors.New("mem: access out of region range")
@@ -298,9 +287,6 @@ func (r *Region) copyIn(off int, buf []byte) {
 	}
 }
 
-// Name returns the region's name.
-func (r *Region) Name() string { return r.name }
-
 // Base returns the first address of the region.
 func (r *Region) Base() Address { return r.base }
 
@@ -315,19 +301,17 @@ func (r *Region) Contains(a Address, size int) bool {
 	return a >= r.base && size >= 0 && a+Address(size) <= r.End()
 }
 
-// Timing returns the region's timing parameters.
-func (r *Region) Timing() Timing { return r.timing }
-
-// SetTiming replaces the timing parameters (used by ablations).
-func (r *Region) SetTiming(t Timing) { r.timing = t }
-
 // Stats reports cumulative access counters.
+//
+//lint:allow testonly FuzzInterleaveStore compares media counters across the store and split paths
 func (r *Region) Stats() (reads, writes, bytesRead, bytesWritten uint64) {
 	return r.reads, r.writes, r.bytesRead, r.bytesWritten
 }
 
 // QueueingDelay returns the total time accesses spent waiting for the
 // channel, an indicator of bandwidth saturation.
+//
+//lint:allow testonly FuzzInterleaveStore compares media queueing across the store and split paths
 func (r *Region) QueueingDelay() sim.Duration {
 	return sim.Duration(r.queueingDelayNs)
 }
@@ -415,21 +399,6 @@ func (r *Region) Poke(a Address, buf []byte) error {
 		return ErrOutOfRange
 	}
 	r.copyIn(int(a-r.base), buf)
-	return nil
-}
-
-// Zero clears [a, a+n) without timing, like a Poke of zeroes, touching
-// only chunks that exist (see Store.Zero).
-func (r *Region) Zero(a Address, n int) error {
-	if !r.Contains(a, n) {
-		return ErrOutOfRange
-	}
-	for off := int(a - r.base); n > 0; {
-		pos, k := r.stripe(off, n)
-		r.store.Zero(pos, k)
-		off += k
-		n -= k
-	}
 	return nil
 }
 

@@ -29,27 +29,6 @@ func TestAlignHelpers(t *testing.T) {
 	}
 }
 
-func TestLines(t *testing.T) {
-	cases := []struct {
-		a    Address
-		size int
-		want int
-	}{
-		{0, 0, 0},
-		{0, 1, 1},
-		{0, 64, 1},
-		{0, 65, 2},
-		{63, 2, 2},
-		{64, 64, 1},
-		{10, 128, 3},
-	}
-	for _, c := range cases {
-		if got := Lines(c.a, c.size); got != c.want {
-			t.Errorf("Lines(%d,%d) = %d, want %d", c.a, c.size, got, c.want)
-		}
-	}
-}
-
 func TestRegionReadWriteRoundTrip(t *testing.T) {
 	r := ddr(t)
 	data := []byte("hello cxl world")
@@ -279,8 +258,8 @@ func TestAllocatorBasic(t *testing.T) {
 	if p2 < p1+128 { // 100 rounds to 128
 		t.Fatalf("allocations overlap: %#x %#x", uint64(p1), uint64(p2))
 	}
-	if a.UsedBytes() != 256 {
-		t.Fatalf("used = %d, want 256", a.UsedBytes())
+	if used := a.size - a.FreeBytes(); used != 256 {
+		t.Fatalf("used = %d, want 256", used)
 	}
 	if err := a.Free(p1); err != nil {
 		t.Fatal(err)
@@ -288,10 +267,10 @@ func TestAllocatorBasic(t *testing.T) {
 	if err := a.Free(p2); err != nil {
 		t.Fatal(err)
 	}
-	if a.FreeBytes() != a.Size() {
-		t.Fatalf("free bytes %d != size %d after freeing all", a.FreeBytes(), a.Size())
+	if a.FreeBytes() != a.size {
+		t.Fatalf("free bytes %d != size %d after freeing all", a.FreeBytes(), a.size)
 	}
-	if a.AllocCount() != 0 {
+	if liveBlocks(a) != 0 {
 		t.Fatal("alloc count nonzero")
 	}
 }
@@ -384,7 +363,7 @@ func TestAllocatorNoOverlapProperty(t *testing.T) {
 		for _, s := range live {
 			total += s.size
 		}
-		return total+a.FreeBytes() == a.Size()
+		return total+a.FreeBytes() == a.size
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}

@@ -12,16 +12,16 @@ func TestCounterSetOrderAndTotals(t *testing.T) {
 	s.Add("rack0", 3)
 	s.Add("rack1", 1)
 	s.Add("rack0", 2)
-	if got := s.Get("rack0"); got != 5 {
+	if got := s.vals["rack0"]; got != 5 {
 		t.Fatalf("rack0 = %d", got)
 	}
-	if got := s.Get("missing"); got != 0 {
+	if got := s.vals["missing"]; got != 0 {
 		t.Fatalf("missing = %d", got)
 	}
 	if got := s.Total(); got != 6 {
 		t.Fatalf("total = %d", got)
 	}
-	names := s.Names()
+	names := s.names
 	want := []string{"rack2", "rack0", "rack1"}
 	if len(names) != len(want) {
 		t.Fatalf("names = %v", names)

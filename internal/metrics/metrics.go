@@ -41,6 +41,8 @@ func (r *Recorder) Record(v float64) {
 func (r *Recorder) Count() int { return len(r.samples) }
 
 // Sum returns the sum of all samples.
+//
+//lint:allow testonly TestForwarderTracePinned pins each pooled device's latency sum
 func (r *Recorder) Sum() float64 { return r.sum }
 
 // Mean returns the arithmetic mean, or 0 with no samples.
@@ -207,16 +209,6 @@ func (s *CounterSet) Add(name string, d uint64) {
 		s.names = append(s.names, name)
 	}
 	s.vals[name] += d
-}
-
-// Get returns the named counter's value (0 if never added).
-func (s *CounterSet) Get(name string) uint64 { return s.vals[name] }
-
-// Names returns the counter names in first-Add order.
-func (s *CounterSet) Names() []string {
-	out := make([]string, len(s.names))
-	copy(out, s.names)
-	return out
 }
 
 // Total sums every counter in the set.

@@ -64,7 +64,6 @@ type Receiver interface {
 // Errors.
 var (
 	ErrUnknownPort = errors.New("netsim: unknown port")
-	ErrFabricDown  = errors.New("netsim: fabric down")
 )
 
 type port struct {
@@ -177,18 +176,6 @@ func (f *Fabric) Fail() { f.down = true }
 // Repair restores the switch.
 func (f *Fabric) Repair() { f.down = false }
 
-// Down reports the failure state.
-func (f *Fabric) Down() bool { return f.down }
-
-// Drops returns the total tail-dropped frames on all egress ports.
-func (f *Fabric) Drops() uint64 {
-	var n uint64
-	for _, p := range f.ports {
-		n += p.drops
-	}
-	return n
-}
-
 // NewPacket returns a fabric-owned frame with a Payload of n bytes,
 // recycled from earlier delivered traffic when possible. Ownership
 // transfers to the fabric on a successful Inject; the fabric reclaims
@@ -255,13 +242,4 @@ func (f *Fabric) Inject(now sim.Time, p *Packet) error {
 	dst.forwarded++
 	f.engine.At(arrival, f.newDelivery(dst, p, arrival).fn)
 	return nil
-}
-
-// PortStats returns (forwarded, dropped) for a port.
-func (f *Fabric) PortStats(name string) (forwarded, dropped uint64, err error) {
-	p, ok := f.ports[name]
-	if !ok {
-		return 0, 0, fmt.Errorf("%w: %q", ErrUnknownPort, name)
-	}
-	return p.forwarded, p.drops, nil
 }

@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"errors"
 	"testing"
 
 	"cxlpool/internal/sim"
@@ -48,9 +47,8 @@ func TestFabricDelivery(t *testing.T) {
 	if b.at[0] <= minLat {
 		t.Fatalf("arrival %v too early (floor %v)", b.at[0], minLat)
 	}
-	fw, dr, err := f.PortStats("b")
-	if err != nil || fw != 1 || dr != 0 {
-		t.Fatalf("port stats fw=%d dr=%d err=%v", fw, dr, err)
+	if p := f.ports["b"]; p.forwarded != 1 || p.drops != 0 {
+		t.Fatalf("port stats fw=%d dr=%d", p.forwarded, p.drops)
 	}
 }
 
@@ -97,8 +95,8 @@ func TestFabricFailureDropsEverything(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Fail()
-	if !f.Down() {
-		t.Fatal("Down() false")
+	if !f.down {
+		t.Fatal("failed fabric not down")
 	}
 	if err := f.Inject(0, &Packet{Dst: "b", Payload: []byte("x")}); err != nil {
 		t.Fatal(err)
@@ -109,8 +107,8 @@ func TestFabricFailureDropsEverything(t *testing.T) {
 	if len(b.got) != 0 {
 		t.Fatal("failed fabric delivered a frame")
 	}
-	if f.Drops() != 1 {
-		t.Fatalf("drops = %d", f.Drops())
+	if drops(f) != 1 {
+		t.Fatalf("drops = %d", drops(f))
 	}
 	f.Repair()
 	if err := f.Inject(e.Now(), &Packet{Dst: "b", Payload: []byte("y")}); err != nil {
@@ -161,7 +159,7 @@ func TestFabricTailDrop(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if f.Drops() == 0 {
+	if drops(f) == 0 {
 		t.Fatal("no tail drops despite overload")
 	}
 	if len(b.got) == 0 {
@@ -181,21 +179,6 @@ func TestFabricDuplicateAttach(t *testing.T) {
 	}
 	if err := f.Attach("c", 0, &b); err == nil {
 		t.Fatal("zero-rate attach accepted")
-	}
-}
-
-func TestPortStatsUnknownPort(t *testing.T) {
-	e := sim.NewEngine(1)
-	f := NewFabric("tor", e)
-	var b sink
-	if err := f.Attach("b", 12.5, &b); err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := f.PortStats("ghost"); !errors.Is(err, ErrUnknownPort) {
-		t.Fatalf("PortStats(ghost) = %v, want ErrUnknownPort", err)
-	}
-	if fw, dr, err := f.PortStats("b"); err != nil || fw != 0 || dr != 0 {
-		t.Fatalf("fresh port stats = (%d, %d, %v), want zeros", fw, dr, err)
 	}
 }
 
@@ -220,10 +203,7 @@ func TestTailDropAccountingConserved(t *testing.T) {
 			}
 			injected++
 		}
-		fw, dr, err := f.PortStats("b")
-		if err != nil {
-			t.Fatal(err)
-		}
+		fw, dr := f.ports["b"].forwarded, f.ports["b"].drops
 		if dr < lastDrops {
 			t.Fatalf("round %d: drops went backwards (%d -> %d)", round, lastDrops, dr)
 		}
@@ -235,10 +215,7 @@ func TestTailDropAccountingConserved(t *testing.T) {
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	fw, dr, err := f.PortStats("b")
-	if err != nil {
-		t.Fatal(err)
-	}
+	fw, dr := f.ports["b"].forwarded, f.ports["b"].drops
 	if dr == 0 {
 		t.Fatal("sustained overload produced no tail drops")
 	}
@@ -248,7 +225,16 @@ func TestTailDropAccountingConserved(t *testing.T) {
 	if uint64(len(b.got)) != fw {
 		t.Fatalf("deliveries %d != forwarded %d", len(b.got), fw)
 	}
-	if f.Drops() != dr {
-		t.Fatalf("fabric drop total %d != port drops %d", f.Drops(), dr)
+	if drops(f) != dr {
+		t.Fatalf("fabric drop total %d != port drops %d", drops(f), dr)
 	}
+}
+
+// drops totals the tail-dropped frames on all of f's egress ports.
+func drops(f *Fabric) uint64 {
+	var n uint64
+	for _, p := range f.ports {
+		n += p.drops
+	}
+	return n
 }

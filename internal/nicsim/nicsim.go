@@ -25,9 +25,8 @@ const LineRate100G mem.GBps = 12.5
 
 // Errors.
 var (
-	ErrNoRxBuffer = errors.New("nicsim: RX ring empty (packet dropped)")
-	ErrTooLong    = errors.New("nicsim: payload exceeds MTU")
-	ErrNotWired   = errors.New("nicsim: NIC not attached to a fabric")
+	ErrTooLong  = errors.New("nicsim: payload exceeds MTU")
+	ErrNotWired = errors.New("nicsim: NIC not attached to a fabric")
 )
 
 // MTU is the jumbo-frame MTU, admitting the paper's 9000 B payloads.
@@ -108,10 +107,6 @@ func New(name string, cfg Config) *NIC {
 
 // Name returns the NIC's name/address.
 func (n *NIC) Name() string { return n.name }
-
-// Endpoint exposes the PCIe function (for host-memory attachment and
-// failure injection).
-func (n *NIC) Endpoint() *pcie.Endpoint { return n.ep }
 
 // LineRate returns the port speed.
 func (n *NIC) LineRate() mem.GBps { return n.rate }
@@ -213,9 +208,6 @@ func (n *NIC) RxRingLen() int { return len(n.rxRing) - n.rxHead }
 func (n *NIC) Stats() (txPackets, rxPackets, txBytes, rxBytes, rxDrops uint64) {
 	return n.txPackets, n.rxPackets, n.txBytes, n.rxBytes, n.rxDrops
 }
-
-// TxBytes returns bytes transmitted (for utilization monitoring).
-func (n *NIC) TxBytes() uint64 { return n.txBytes }
 
 // Transmit sends length bytes from the host buffer at addr to dst. The
 // returned duration is the time until the frame has left the NIC (DMA

@@ -180,9 +180,6 @@ func NewTarget(engine *sim.Engine, nic *nicsim.NIC, ssd *ssdsim.SSD, staging *me
 	return t, nil
 }
 
-// Served returns completed commands.
-func (t *Target) Served() uint64 { return t.served }
-
 // onCommand handles one inbound command frame.
 func (t *Target) onCommand(now sim.Time, c nicsim.RxCompletion) {
 	// Parse the frame from staging memory: the header rode in the
@@ -340,17 +337,9 @@ func NewInitiator(engine *sim.Engine, nic *nicsim.NIC, staging *mem.Region, targ
 	return ini, nil
 }
 
-// Completed returns finished I/Os.
-func (ini *Initiator) Completed() uint64 { return ini.completed }
-
 // Read issues a remote read.
 func (ini *Initiator) Read(now sim.Time, lba int64, n int, onDone func(sim.Time, []byte, error)) error {
 	return ini.submit(now, opRead, lba, nil, n, onDone)
-}
-
-// Write issues a remote write.
-func (ini *Initiator) Write(now sim.Time, lba int64, data []byte, onDone func(sim.Time, []byte, error)) error {
-	return ini.submit(now, opWrite, lba, data, len(data), onDone)
 }
 
 func (ini *Initiator) submit(now sim.Time, op uint8, lba int64, data []byte, n int, onDone func(sim.Time, []byte, error)) error {

@@ -47,7 +47,7 @@ func TestRemoteWriteReadRoundTrip(t *testing.T) {
 	payload := make([]byte, ssdsim.SectorSize)
 	copy(payload, "over the fabric")
 	var wrote bool
-	if err := ini.Write(0, 8192, payload, func(_ sim.Time, _ []byte, err error) {
+	if err := ini.submit(0, opWrite, 8192, payload, len(payload), func(_ sim.Time, _ []byte, err error) {
 		if err != nil {
 			t.Errorf("write: %v", err)
 		}
@@ -78,8 +78,8 @@ func TestRemoteWriteReadRoundTrip(t *testing.T) {
 	if string(got[:15]) != "over the fabric" {
 		t.Fatalf("read back %q", got[:15])
 	}
-	if tgt.Served() != 2 || ini.Completed() != 2 {
-		t.Fatalf("served=%d completed=%d", tgt.Served(), ini.Completed())
+	if tgt.served != 2 || ini.completed != 2 {
+		t.Fatalf("served=%d completed=%d", tgt.served, ini.completed)
 	}
 }
 

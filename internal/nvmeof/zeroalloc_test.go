@@ -22,7 +22,7 @@ func TestCommandRoundTripAllocs(t *testing.T) {
 	}
 	// Warm every scratch buffer and pool with a write+read pair.
 	for i := 0; i < 4; i++ {
-		if err := ini.Write(now, 0, payload, onDone); err != nil {
+		if err := ini.submit(now, opWrite, 0, payload, len(payload), onDone); err != nil {
 			t.Fatal(err)
 		}
 		now += sim.Millisecond

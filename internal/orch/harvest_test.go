@@ -92,7 +92,7 @@ func TestHarvestAggregatesBandwidth(t *testing.T) {
 	}
 	var total, max uint64
 	for _, v := range vs {
-		b := v.Phys().TxBytes()
+		_, _, b, _, _ := v.Phys().Stats()
 		total += b
 		if b > max {
 			max = b

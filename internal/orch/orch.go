@@ -225,22 +225,6 @@ func (o *Orchestrator) RegisterAll() error {
 	return nil
 }
 
-// Devices returns managed device names in registration order.
-func (o *Orchestrator) Devices() []string {
-	out := make([]string, len(o.order))
-	copy(out, o.order)
-	return out
-}
-
-// Load returns the monitor's last load estimate for a device.
-func (o *Orchestrator) Load(dev string) (float64, error) {
-	d, ok := o.devices[dev]
-	if !ok {
-		return 0, fmt.Errorf("%w: %q", ErrUnknownPhys, dev)
-	}
-	return d.load, nil
-}
-
 // Assignment returns the device currently backing a vNIC.
 func (o *Orchestrator) Assignment(vnic string) (string, error) {
 	dev, ok := o.assign[vnic]
@@ -509,6 +493,8 @@ func (o *Orchestrator) Allocate(user *core.Host, vnicName string, cfg core.VNICC
 }
 
 // Migrate explicitly moves a vNIC to a named device (operator action).
+//
+//lint:allow testonly TestExplicitMigrate pins it; TestDrainHostForMaintenance and the drain regressions place a vNIC with it
 func (o *Orchestrator) Migrate(vnicName, devName string) error {
 	v, ok := o.vnics[vnicName]
 	if !ok {

@@ -32,11 +32,8 @@ func rig(t testing.TB, hosts, nicsPerHost int, policy Policy) (*core.Pod, *Orche
 
 func TestRegisterAndDevices(t *testing.T) {
 	_, o := rig(t, 3, 2, LocalFirst)
-	if got := len(o.Devices()); got != 6 {
+	if got := len(o.order); got != 6 {
 		t.Fatalf("devices = %d", got)
-	}
-	if _, err := o.Load("ghost"); !errors.Is(err, ErrUnknownPhys) {
-		t.Fatalf("err = %v", err)
 	}
 	if _, err := o.Assignment("ghost"); !errors.Is(err, ErrUnknownVNIC) {
 		t.Fatalf("err = %v", err)
@@ -192,8 +189,8 @@ func TestLoadMonitoringTracksTraffic(t *testing.T) {
 	// Sample while traffic is flowing (load is a rate, not a counter).
 	var load, idle float64
 	p.Engine.At(4500*sim.Microsecond, func() {
-		load, _ = o.Load(dev)
-		idle, _ = o.Load(other)
+		load = o.devices[dev].load
+		idle = o.devices[other].load
 	})
 	if _, err := p.Engine.RunUntil(6 * sim.Millisecond); err != nil {
 		t.Fatal(err)

@@ -93,14 +93,8 @@ func NewEndpoint(name string, link LinkConfig) *Endpoint {
 	return &Endpoint{name: name, link: link}
 }
 
-// Name returns the device name.
-func (e *Endpoint) Name() string { return e.name }
-
 // AttachHostMemory points the DMA engine at the host address space.
 func (e *Endpoint) AttachHostMemory(m mem.Memory) { e.hostMem = m }
-
-// HostMemory returns the current DMA target.
-func (e *Endpoint) HostMemory() mem.Memory { return e.hostMem }
 
 // Fail marks the device failed; DMA errors until Repair (§2.2
 // device-failure scenarios).
@@ -111,11 +105,6 @@ func (e *Endpoint) Repair() { e.failed = false }
 
 // Failed reports failure state.
 func (e *Endpoint) Failed() bool { return e.failed }
-
-// Stats returns DMA counters.
-func (e *Endpoint) Stats() (dmaReads, dmaWrites, bytesIn, bytesOut uint64) {
-	return e.dmaReads, e.dmaWrites, e.dmaBytesIn, e.dmaBytesOut
-}
 
 // linkTime serializes n bytes on the device link starting at now, using
 // a fluid backlog queue.

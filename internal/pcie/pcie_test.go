@@ -59,7 +59,7 @@ func TestDMARoundTrip(t *testing.T) {
 	if string(got) != string(payload) {
 		t.Fatalf("DMA read back %q", got)
 	}
-	r, w, in, out := e.Stats()
+	r, w, in, out := e.dmaReads, e.dmaWrites, e.dmaBytesIn, e.dmaBytesOut
 	if r != 1 || w != 1 || in != uint64(len(payload)) || out != uint64(len(payload)) {
 		t.Fatalf("stats = %d %d %d %d", r, w, in, out)
 	}

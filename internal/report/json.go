@@ -132,6 +132,8 @@ func (r *Report) MarshalJSON() ([]byte, error) {
 }
 
 // UnmarshalJSON decodes the wire form back into the model.
+//
+//lint:allow testonly TestJSONRoundTripMatchesText and TestJSONRoundTripIsTextIdentical pin that the JSON form carries everything the text form does
 func (r *Report) UnmarshalJSON(data []byte) error {
 	var jr jsonReport
 	if err := json.Unmarshal(data, &jr); err != nil {

@@ -92,12 +92,6 @@ func NewChannelSlotSize(base mem.Address, slots, slotSize int) (*Channel, error)
 // Base returns the channel's base address.
 func (ch *Channel) Base() mem.Address { return ch.base }
 
-// Slots returns the ring size.
-func (ch *Channel) Slots() int { return ch.slots }
-
-// SlotSize returns the per-slot bytes.
-func (ch *Channel) SlotSize() int { return ch.slotSize }
-
 // MaxPayload returns the largest payload one slot carries.
 func (ch *Channel) MaxPayload() int { return ch.slotSize - slotHeaderSize }
 
@@ -167,12 +161,6 @@ type Sender struct {
 func (ch *Channel) NewSender(c *cache.Cache) *Sender {
 	return &Sender{ch: ch, cache: c}
 }
-
-// Sent returns the number of messages successfully sent.
-func (s *Sender) Sent() uint64 { return s.sent }
-
-// FullEvents counts sends rejected because the ring was full.
-func (s *Sender) FullEvents() uint64 { return s.fullEvents }
 
 // Send publishes payload as one 64 B slot using a non-temporal store and
 // returns the simulated time until the message is globally visible.
@@ -261,12 +249,6 @@ func (ch *Channel) NewReceiver(c *cache.Cache) *Receiver {
 	}
 	return &Receiver{ch: ch, cache: c, publishEvery: every}
 }
-
-// Received returns the number of messages consumed.
-func (r *Receiver) Received() uint64 { return r.received }
-
-// EmptyPolls counts polls that found no message.
-func (r *Receiver) EmptyPolls() uint64 { return r.emptyPolls }
 
 // Poll checks for the next message. It returns (payload, latency, ok):
 // ok=false means no message was ready (latency is still the cost of the

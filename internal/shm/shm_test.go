@@ -14,6 +14,13 @@ import (
 // twoHosts builds a 2-port MHD pool with one cache per host.
 func twoHosts(t testing.TB) (*cache.Cache, *cache.Cache) {
 	t.Helper()
+	va, vb := twoViews(t)
+	return cache.New("A", va, 0), cache.New("B", vb, 0)
+}
+
+// twoViews connects two ports of one pool device.
+func twoViews(t testing.TB) (*cxl.PortView, *cxl.PortView) {
+	t.Helper()
 	dev := cxl.NewMHD("pool", 0, 1<<20, 2, sim.NewRand(1))
 	va, err := dev.Connect(cxl.X16Gen5)
 	if err != nil {
@@ -23,7 +30,7 @@ func twoHosts(t testing.TB) (*cache.Cache, *cache.Cache) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cache.New("A", va, 0), cache.New("B", vb, 0)
+	return va, vb
 }
 
 func TestChannelSendReceive(t *testing.T) {
@@ -83,8 +90,8 @@ func TestChannelOrderingAndCount(t *testing.T) {
 		}
 		now += d
 	}
-	if tx.Sent() != 10 || rx.Received() != 10 {
-		t.Fatalf("sent=%d received=%d", tx.Sent(), rx.Received())
+	if tx.sent != 10 || rx.received != 10 {
+		t.Fatalf("sent=%d received=%d", tx.sent, rx.received)
 	}
 	// Ring must now be empty.
 	_, _, ok, err := rx.Poll(now)
@@ -94,7 +101,7 @@ func TestChannelOrderingAndCount(t *testing.T) {
 	if ok {
 		t.Fatal("poll on drained ring returned a message")
 	}
-	if rx.EmptyPolls() == 0 {
+	if rx.emptyPolls == 0 {
 		t.Fatal("empty poll not counted")
 	}
 }
@@ -142,8 +149,8 @@ func TestChannelBackpressure(t *testing.T) {
 	if _, err := tx.Send(now, []byte{99}); !errors.Is(err, ErrChannelFull) {
 		t.Fatalf("overfull send err = %v", err)
 	}
-	if tx.FullEvents() != 1 {
-		t.Fatalf("full events = %d", tx.FullEvents())
+	if tx.fullEvents != 1 {
+		t.Fatalf("full events = %d", tx.fullEvents)
 	}
 	// Drain everything; the receiver publishes its cursor each slots/4
 	// messages, so after draining all 4 the sender can proceed.

@@ -36,12 +36,13 @@ func (f *faultyMem) WriteAt(now sim.Time, a mem.Address, buf []byte) (sim.Durati
 // r.received advanced), so Poll must return the payload alongside the
 // error rather than dropping it.
 func TestPollPublishFailureKeepsMessage(t *testing.T) {
-	a, b := twoHosts(t)
+	va, vb := twoViews(t)
+	a := cache.New("A", va, 0)
 	ch, err := NewChannel(0, 8) // publishEvery = 8/4 = 2
 	if err != nil {
 		t.Fatal(err)
 	}
-	fm := &faultyMem{Memory: b.Backing(), failAddr: ch.consumerAddr()}
+	fm := &faultyMem{Memory: vb, failAddr: ch.consumerAddr()}
 	rxCache := cache.New("B-faulty", fm, 0)
 	tx := ch.NewSender(a)
 	rx := ch.NewReceiver(rxCache)

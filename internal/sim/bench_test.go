@@ -30,7 +30,7 @@ func BenchmarkSelfScheduling(b *testing.B) {
 	e := NewEngine(1)
 	var tick func(id int)
 	tick = func(id int) {
-		e.After(Duration(100+id), func() { tick(id) })
+		e.At(e.Now()+Duration(100+id), func() { tick(id) })
 	}
 	for i := 0; i < actors; i++ {
 		tick(i)

@@ -14,7 +14,7 @@ func TestCanceledEventNeverRecycled(t *testing.T) {
 	e := NewEngine(1)
 	canceled := make([]*Event, 100)
 	for i := range canceled {
-		canceled[i] = e.After(Duration(i+1), func() {})
+		canceled[i] = e.At(e.Now()+Duration(i+1), func() {})
 		e.Cancel(canceled[i])
 	}
 	if _, err := e.Run(); err != nil { // drains the lazily-deleted events
@@ -23,7 +23,7 @@ func TestCanceledEventNeverRecycled(t *testing.T) {
 	// Schedule far more events than were canceled; none may reuse a
 	// canceled struct.
 	for i := 0; i < 1000; i++ {
-		ev := e.After(Duration(i+1), func() {})
+		ev := e.At(e.Now()+Duration(i+1), func() {})
 		for _, c := range canceled {
 			if ev == c {
 				t.Fatalf("canceled event %p recycled as a new event", c)
@@ -36,7 +36,7 @@ func TestCanceledEventNeverRecycled(t *testing.T) {
 	// The canceled handles still report their fate.
 	for i, c := range canceled {
 		if !c.Canceled() {
-			t.Fatalf("canceled[%d].Canceled() = false after later scheduling", i)
+			t.Fatalf("canceled[%d] reads as not canceled after later scheduling", i)
 		}
 	}
 }
@@ -45,16 +45,16 @@ func TestCanceledEventNeverRecycled(t *testing.T) {
 // the allocation behavior the benchmarks rely on.
 func TestFiredEventsAreRecycled(t *testing.T) {
 	e := NewEngine(1)
-	ev := e.After(1, func() {})
+	ev := e.At(e.Now()+1, func() {})
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	ev2 := e.After(1, func() {})
+	ev2 := e.At(e.Now()+1, func() {})
 	if ev2 != ev {
 		t.Fatalf("fired event not recycled: got %p, want %p", ev2, ev)
 	}
 	e.Cancel(ev2)
-	ev3 := e.After(2, func() {})
+	ev3 := e.At(e.Now()+2, func() {})
 	if ev3 == ev2 { //lint:allow simhandle identity probe of the never-recycle guarantee for canceled handles
 		t.Fatal("canceled event recycled")
 	}
@@ -66,7 +66,7 @@ func TestCancelDuringOwnCallback(t *testing.T) {
 	e := NewEngine(1)
 	var self *Event
 	ran := false
-	self = e.After(5, func() {
+	self = e.At(e.Now()+5, func() {
 		ran = true
 		e.Cancel(self)
 		if self.Canceled() {
@@ -101,33 +101,32 @@ func TestCancelFromEarlierEventSameInstant(t *testing.T) {
 	}
 }
 
-// Pending must track live events through lazy cancellation: a canceled
-// event leaves the count immediately even though it leaves the heap
-// lazily.
+// A canceled event stops counting as pending at once even though it
+// leaves the heap lazily.
 func TestPendingWithLazyCancel(t *testing.T) {
 	e := NewEngine(1)
 	evs := make([]*Event, 10)
 	for i := range evs {
-		evs[i] = e.After(Duration(i+1), func() {})
+		evs[i] = e.At(e.Now()+Duration(i+1), func() {})
 	}
-	if e.Pending() != 10 {
-		t.Fatalf("Pending = %d, want 10", e.Pending())
+	if pending(e) != 10 {
+		t.Fatalf("pending = %d, want 10", pending(e))
 	}
 	for i := 0; i < 5; i++ {
 		e.Cancel(evs[i])
 	}
-	if e.Pending() != 5 {
-		t.Fatalf("Pending = %d after 5 cancels, want 5", e.Pending())
+	if pending(e) != 5 {
+		t.Fatalf("pending = %d after 5 cancels, want 5", pending(e))
 	}
 	e.Cancel(evs[0]) // double cancel: no double decrement
-	if e.Pending() != 5 {
-		t.Fatalf("Pending = %d after double cancel, want 5", e.Pending())
+	if pending(e) != 5 {
+		t.Fatalf("pending = %d after double cancel, want 5", pending(e))
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after Run, want 0", e.Pending())
+	if pending(e) != 0 {
+		t.Fatalf("pending = %d after Run, want 0", pending(e))
 	}
 }
 
@@ -135,9 +134,9 @@ func TestPendingWithLazyCancel(t *testing.T) {
 // event ran.
 func TestStepSkipsCanceled(t *testing.T) {
 	e := NewEngine(1)
-	a := e.After(1, func() {})
+	a := e.At(e.Now()+1, func() {})
 	fired := false
-	e.After(2, func() { fired = true })
+	e.At(e.Now()+2, func() { fired = true })
 	e.Cancel(a)
 	if !e.Step() {
 		t.Fatal("Step found nothing despite a live event")
@@ -151,24 +150,35 @@ func TestStepSkipsCanceled(t *testing.T) {
 }
 
 // Cancel on the handle of the event that tripped the event limit must
-// be a no-op: the event was popped (live already decremented), so a
-// second decrement would corrupt Pending.
+// be a no-op: the event was popped unfired, so it must neither count as
+// pending nor read as canceled.
 func TestCancelAfterEventLimit(t *testing.T) {
 	e := NewEngine(1)
 	e.SetEventLimit(1)
-	e.After(1, func() {})
-	tripper := e.After(2, func() { t.Error("fired past the limit") })
+	e.At(e.Now()+1, func() {})
+	tripper := e.At(e.Now()+2, func() { t.Error("fired past the limit") })
 	if _, err := e.Run(); err == nil {
 		t.Fatal("event limit not enforced")
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after limit trip, want 0", e.Pending())
+	if pending(e) != 0 {
+		t.Fatalf("pending = %d after limit trip, want 0", pending(e))
 	}
 	e.Cancel(tripper)
-	if e.Pending() != 0 {
-		t.Fatalf("Pending = %d after canceling the tripper, want 0", e.Pending())
+	if pending(e) != 0 {
+		t.Fatalf("pending = %d after canceling the tripper, want 0", pending(e))
 	}
 	if tripper.Canceled() {
 		t.Fatal("dropped event reported Canceled")
 	}
+}
+
+// pending counts e's scheduled, uncanceled events.
+func pending(e *Engine) int {
+	n := 0
+	for _, ev := range e.events {
+		if ev.state == stateScheduled {
+			n++
+		}
+	}
+	return n
 }

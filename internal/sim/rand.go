@@ -31,9 +31,6 @@ func (r *Rand) Uint64() uint64 {
 	return x * 0x2545F4914F6CDD1D
 }
 
-// Int63 returns a non-negative random int64.
-func (r *Rand) Int63() int64 { return int64(r.Uint64() >> 1) }
-
 // Intn returns a uniform random int in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
 	if n <= 0 {
@@ -73,97 +70,8 @@ func (r *Rand) Exp(mean Duration) Duration {
 	return d
 }
 
-// Normal returns a normally distributed float64 with the given mean and
-// standard deviation, via the Box-Muller transform.
-func (r *Rand) Normal(mean, stddev float64) float64 {
-	u1 := r.Float64()
-	for u1 == 0 {
-		u1 = r.Float64()
-	}
-	u2 := r.Float64()
-	z := math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-	return mean + stddev*z
-}
-
-// NormalDur returns a normally distributed duration clamped at zero.
-func (r *Rand) NormalDur(mean, stddev Duration) Duration {
-	d := Duration(r.Normal(float64(mean), float64(stddev)))
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
-// LogNormal returns a log-normally distributed float64 parameterized by
-// the mean and stddev of the underlying normal (mu, sigma). Used for
-// long-tailed latency components.
-func (r *Rand) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *Rand) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := r.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *Rand) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Fork returns a new independent source derived from this one, for
 // components that need their own stream without sharing state.
 func (r *Rand) Fork() *Rand {
 	return NewRand(int64(r.Uint64()))
-}
-
-// Zipf samples from a Zipf distribution over [0, n) with skew parameter
-// s > 0 (s ~ 0 is near-uniform; s >= 1 is heavily skewed). It uses
-// precomputed CDF inversion; create one with NewZipf and reuse it.
-type Zipf struct {
-	cdf []float64
-	r   *Rand
-}
-
-// NewZipf builds a Zipf sampler over n items with exponent s using the
-// provided random source.
-func NewZipf(r *Rand, n int, s float64) *Zipf {
-	if n <= 0 {
-		panic("sim: NewZipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += 1 / math.Pow(float64(i+1), s)
-		cdf[i] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf, r: r}
-}
-
-// Next returns the next sample in [0, len).
-func (z *Zipf) Next() int {
-	u := z.r.Float64()
-	// Binary search for the first CDF entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

@@ -29,13 +29,13 @@
 // events are carved from chunked allocations, so steady-state scheduling
 // does not allocate. The price is a handle-validity contract:
 //
-//   - An *Event handle is valid from At/After until the event fires.
-//     Within that window Cancel and Canceled work as documented.
+//   - An *Event handle is valid from At until the event fires. Within
+//     that window Cancel and Canceled work as documented.
 //   - A canceled event is never recycled, so a handle you canceled stays
 //     valid indefinitely: Canceled keeps reporting true, and canceling
 //     it again stays a no-op.
 //   - Once an event has fired, the Engine may reuse its struct for a
-//     later At/After. Do not retain handles to fired events: clear your
+//     later At. Do not retain handles to fired events: clear your
 //     reference when the callback runs (or cancel before it can fire).
 //     Calling Cancel with a handle that outlived its event is a caller
 //     bug — it may cancel an unrelated, newer event.
@@ -87,9 +87,6 @@ func (t Time) String() string {
 // Seconds returns the time as floating-point seconds.
 func (t Time) Seconds() float64 { return float64(t) / 1e9 }
 
-// Micros returns the time as floating-point microseconds.
-func (t Time) Micros() float64 { return float64(t) / 1e3 }
-
 // Event lifecycle states.
 const (
 	stateFree      uint8 = iota // never scheduled, or recycled onto the free-list
@@ -99,7 +96,7 @@ const (
 )
 
 // Event is a scheduled callback handle. The zero Event is invalid; obtain
-// events from Engine.At or Engine.After. See the package comment for the
+// events from Engine.At. See the package comment for the
 // handle-validity contract: a handle is good until the event fires, and a
 // canceled handle is good forever.
 type Event struct {
@@ -109,11 +106,11 @@ type Event struct {
 	state uint8
 }
 
-// Canceled reports whether the event was canceled before firing.
+// Canceled reports whether the event was canceled before firing: the
+// one query the handle-validity contract allows on a canceled handle.
+//
+//lint:allow testonly TestCanceledEventNeverRecycled and the other cancel tests read it on retired handles
 func (e *Event) Canceled() bool { return e.state == stateCanceled }
-
-// When returns the time the event is (or was) scheduled to fire.
-func (e *Event) When() Time { return e.at }
 
 // eventChunk is how many Events one allocation block holds. Events are
 // carved from blocks so a burst of B schedules costs B/eventChunk
@@ -129,9 +126,6 @@ type Engine struct {
 	// events is a 4-ary min-heap on (at, seq). Canceled events stay in
 	// place until popped (lazy deletion).
 	events []*Event
-	// live counts scheduled, uncanceled events (what Pending reports);
-	// len(events) additionally includes lazily-deleted canceled events.
-	live int
 	// free holds fired events available for reuse; chunk is the current
 	// allocation block new events are carved from.
 	free  []*Event
@@ -163,9 +157,6 @@ func (e *Engine) Processed() uint64 { return e.processed }
 // SetEventLimit sets an upper bound on the number of events a Run may
 // execute; 0 means no limit.
 func (e *Engine) SetEventLimit(n uint64) { e.limit = n }
-
-// Pending returns the number of scheduled, uncanceled events.
-func (e *Engine) Pending() int { return e.live }
 
 // alloc returns a blank Event from the free-list, or carves one from the
 // current chunk.
@@ -269,16 +260,7 @@ func (e *Engine) At(t Time, fn func()) *Event {
 	ev.state = stateScheduled
 	e.seq++
 	e.push(ev)
-	e.live++
 	return ev
-}
-
-// After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Duration, fn func()) *Event {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", d))
-	}
-	return e.At(e.now+d, fn)
 }
 
 // Cancel removes a scheduled event. Canceling nil, an already-canceled
@@ -293,7 +275,6 @@ func (e *Engine) Cancel(ev *Event) {
 	}
 	ev.state = stateCanceled
 	ev.fn = nil
-	e.live--
 }
 
 // ErrEventLimit is returned by Run variants when the configured event
@@ -330,11 +311,10 @@ func (e *Engine) RunUntil(deadline Time) (Time, error) {
 		e.popHead()
 		e.now = next.at
 		e.processed++
-		e.live--
 		if e.limit != 0 && e.processed > e.limit {
 			// The limit-tripping event is dropped unfired. Retire its
-			// handle (a later Cancel must be a no-op, not a second
-			// live--); don't recycle it, the caller may still hold it.
+			// handle (a later Cancel must be a no-op); don't recycle
+			// it, the caller may still hold it.
 			next.state = stateFired
 			next.fn = nil
 			return e.now, ErrEventLimit{Limit: e.limit}
@@ -353,6 +333,8 @@ func (e *Engine) RunUntil(deadline Time) (Time, error) {
 
 // Step executes exactly one event if any is pending and reports whether an
 // event was executed.
+//
+//lint:allow testonly BenchmarkScheduleFire, BenchmarkSelfScheduling and BenchmarkScheduleCancel (gated by scripts/bench.sh) fire one event per iteration
 func (e *Engine) Step() bool {
 	for len(e.events) > 0 {
 		next := e.events[0]
@@ -362,7 +344,6 @@ func (e *Engine) Step() bool {
 		}
 		e.now = next.at
 		e.processed++
-		e.live--
 		fn := next.fn
 		next.state = stateFired
 		next.fn = nil

@@ -229,10 +229,6 @@ func edgeCapacity(oversub, aggGbps float64, l topo.Link) float64 {
 	return cap
 }
 
-// LinkCount returns how many inter-rack edges the spine instantiates
-// (one per rack plus one per row).
-func (n *Network) LinkCount() int { return len(n.links) }
-
 // LinkStats returns every link's accounting snapshot in link order
 // (racks first, then rows).
 func (n *Network) LinkStats() []LinkStats {
@@ -254,18 +250,6 @@ func (n *Network) LinkStats() []LinkStats {
 	}
 	return out
 }
-
-// PathLinkIDs returns the link ids the src->dst path crosses. The
-// slice is shared precomputed state — callers must not mutate it.
-func (n *Network) PathLinkIDs(src, dst int) []int {
-	if src < 0 || dst < 0 || src == dst {
-		return nil
-	}
-	return n.pathLinks[src*len(n.rackLink)+dst]
-}
-
-// LinkCapGbps returns link i's contention capacity (0 = unconstrained).
-func (n *Network) LinkCapGbps(i int) float64 { return n.links[i].capGbps }
 
 // SetBrownouts replaces the active brownout set (the fault engine's
 // recompute-from-open-faults publish).

@@ -72,15 +72,15 @@ func TestEdgeCapacities(t *testing.T) {
 func TestPathLinkIDs(t *testing.T) {
 	tp := mustMultiRow(t, 2, 2)
 	n := New(tp, Config{Oversub: 1})
-	same := n.PathLinkIDs(0, 1) // same row: both rack uplinks only
+	same := pathLinkIDs(n, 0, 1) // same row: both rack uplinks only
 	if len(same) != 2 {
 		t.Fatalf("same-row path crosses %d links, want 2", len(same))
 	}
-	cross := n.PathLinkIDs(0, 2) // cross-row: rack uplinks + both row uplinks
+	cross := pathLinkIDs(n, 0, 2) // cross-row: rack uplinks + both row uplinks
 	if len(cross) != 4 {
 		t.Fatalf("cross-row path crosses %d links, want 4", len(cross))
 	}
-	if n.PathLinkIDs(1, 1) != nil || n.PathLinkIDs(-1, 0) != nil {
+	if pathLinkIDs(n, 1, 1) != nil || pathLinkIDs(n, -1, 0) != nil {
 		t.Error("degenerate pairs should cross no links")
 	}
 }
@@ -276,4 +276,13 @@ func TestBrownoutCoverScoping(t *testing.T) {
 	if n.Path(0, 1).Bandwidth != tp.RackPath(0, 1).Bandwidth {
 		t.Error("cross-row brownout leaked onto a same-row path")
 	}
+}
+
+// pathLinkIDs returns the precomputed link ids the src->dst path
+// crosses.
+func pathLinkIDs(n *Network, src, dst int) []int {
+	if src < 0 || dst < 0 || src == dst {
+		return nil
+	}
+	return n.pathLinks[src*len(n.rackLink)+dst]
 }

@@ -129,7 +129,7 @@ func TestParallelismAndQueueing(t *testing.T) {
 	if max < 3*min {
 		t.Fatalf("no queueing visible: min=%v max=%v", min, max)
 	}
-	reads, _, br, _ := s.Stats()
+	reads, br := s.reads, s.bytesRead
 	if reads != 64 || br != 64*SectorSize {
 		t.Fatalf("stats reads=%d bytes=%d", reads, br)
 	}

@@ -119,7 +119,7 @@ func RunUDPBench(cfg UDPBenchConfig) (*UDPBenchResult, error) {
 	switch cfg.Mode {
 	case BufferDDR:
 		ddr := mem.NewRegion("server-ddr", 0, size, ddrTiming, sim.NewRand(cfg.Seed+1))
-		serverPool = NewBufferPool("ddr", ddr, ddr, 0, size)
+		serverPool = NewBufferPool(ddr, ddr, 0, size)
 	case BufferCXL:
 		// One MHD, two ×8 ports: port0 for the NIC's DMA (socket0),
 		// port1 for the stack's CPU accesses (socket1). Exactly the
@@ -133,14 +133,14 @@ func RunUDPBench(cfg UDPBenchConfig) (*UDPBenchResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		serverPool = NewBufferPool("cxl", cpuView, dmaView, 0, size)
+		serverPool = NewBufferPool(cpuView, dmaView, 0, size)
 	default:
 		return nil, fmt.Errorf("stack: unknown buffer mode %d", cfg.Mode)
 	}
 
 	// Client buffers always in client-local DDR.
 	clientDDR := mem.NewRegion("client-ddr", 0, size, ddrTiming, sim.NewRand(cfg.Seed+2))
-	clientPool := NewBufferPool("client-ddr", clientDDR, clientDDR, 0, size)
+	clientPool := NewBufferPool(clientDDR, clientDDR, 0, size)
 
 	server, err := NewServer(engine, serverNIC, serverPool, cfg.Payload, ringDepth)
 	if err != nil {

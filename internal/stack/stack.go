@@ -43,7 +43,6 @@ const (
 // views. For local DDR the views are the same region; for CXL pool
 // placement they are two different ports of the same MHD.
 type BufferPool struct {
-	name  string
 	cpu   mem.Memory
 	dma   mem.Memory
 	alloc *mem.Allocator
@@ -51,17 +50,13 @@ type BufferPool struct {
 
 // NewBufferPool builds a pool over [base, base+size) with the given
 // views.
-func NewBufferPool(name string, cpuView, dmaView mem.Memory, base mem.Address, size int) *BufferPool {
+func NewBufferPool(cpuView, dmaView mem.Memory, base mem.Address, size int) *BufferPool {
 	return &BufferPool{
-		name:  name,
 		cpu:   cpuView,
 		dma:   dmaView,
 		alloc: mem.NewAllocator(base, size),
 	}
 }
-
-// Name returns the pool name ("ddr" or "cxl").
-func (p *BufferPool) Name() string { return p.name }
 
 // DMAView returns the device-side memory view for NIC attachment.
 func (p *BufferPool) DMAView() mem.Memory { return p.dma }
@@ -189,9 +184,6 @@ func NewServerWorkers(engine *sim.Engine, nic *nicsim.NIC, pool *BufferPool, buf
 	nic.OnReceive(s.onReceive)
 	return s, nil
 }
-
-// Served returns the number of echoed requests.
-func (s *Server) Served() uint64 { return s.served }
 
 // echoReply is a prepared response: its TX buffer and the request it
 // answers.

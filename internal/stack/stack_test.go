@@ -45,13 +45,13 @@ func newEchoRig(t *testing.T, payload int, mode BufferMode) *echoRig {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sPool = NewBufferPool("cxl", cv, dv, 0, size)
+		sPool = NewBufferPool(cv, dv, 0, size)
 	} else {
 		r := mem.NewRegion("sddr", 0, size, cxl.DDRTiming(), nil)
-		sPool = NewBufferPool("ddr", r, r, 0, size)
+		sPool = NewBufferPool(r, r, 0, size)
 	}
 	cr := mem.NewRegion("cddr", 0, size, cxl.DDRTiming(), nil)
-	cPool := NewBufferPool("cddr", cr, cr, 0, size)
+	cPool := NewBufferPool(cr, cr, 0, size)
 	srv, err := NewServer(engine, sNIC, sPool, payload, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -76,8 +76,8 @@ func TestEchoRoundTrip(t *testing.T) {
 		if r.client.Responses() != r.client.Sent() {
 			t.Fatalf("%v: sent %d, responses %d", mode, r.client.Sent(), r.client.Responses())
 		}
-		if r.server.Served() != r.client.Sent() {
-			t.Fatalf("%v: served %d != sent %d", mode, r.server.Served(), r.client.Sent())
+		if r.server.served != r.client.Sent() {
+			t.Fatalf("%v: served %d != sent %d", mode, r.server.served, r.client.Sent())
 		}
 		if r.client.RTT.Count() == 0 || r.client.RTT.Percentile(50) <= 0 {
 			t.Fatalf("%v: no RTT samples", mode)
@@ -87,15 +87,15 @@ func TestEchoRoundTrip(t *testing.T) {
 
 func TestServerBuffersDoNotLeak(t *testing.T) {
 	r := newEchoRig(t, 512, BufferCXL)
-	base := r.sPool.alloc.AllocCount()
+	base := r.sPool.alloc.FreeBytes()
 	r.client.Start(0, 200_000, 2*sim.Millisecond)
 	if _, err := r.engine.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// After draining, only the permanently posted RX ring buffers remain
 	// allocated.
-	if got := r.sPool.alloc.AllocCount(); got != base {
-		t.Fatalf("buffer leak: %d allocations live, want %d", got, base)
+	if got := r.sPool.alloc.FreeBytes(); got != base {
+		t.Fatalf("buffer leak: %d pool bytes free, want %d", got, base)
 	}
 }
 
@@ -121,7 +121,7 @@ func TestInvalidConfigs(t *testing.T) {
 	engine := sim.NewEngine(1)
 	nic := nicsim.New("x", nicsim.Config{})
 	reg := mem.NewRegion("m", 0, 1<<20, mem.Timing{}, nil)
-	pool := NewBufferPool("p", reg, reg, 0, 1<<20)
+	pool := NewBufferPool(reg, reg, 0, 1<<20)
 	if _, err := NewServer(engine, nic, pool, 0, 8); err == nil {
 		t.Fatal("zero bufSize accepted")
 	}
@@ -353,7 +353,7 @@ func TestServerCPUAccessFailureRecyclesBuffers(t *testing.T) {
 		r := newEchoRig(t, 256, BufferCXL)
 		r.sPool.cpu = &failingMemory{Memory: r.sPool.cpu, failRead: failRead, failWrite: !failRead}
 		ring := r.server.nic.RxRingLen()
-		base := r.sPool.alloc.AllocCount()
+		base := r.sPool.alloc.FreeBytes()
 		// More requests than the ring holds: a leaked RX buffer would
 		// run the ring dry.
 		r.client.Start(0, 500_000, sim.Millisecond)
@@ -364,15 +364,15 @@ func TestServerCPUAccessFailureRecyclesBuffers(t *testing.T) {
 		if sent <= uint64(ring) {
 			t.Fatalf("failRead=%v: sent %d requests, want more than the ring's %d", failRead, sent, ring)
 		}
-		if r.server.rxErrors != sent || r.server.Served() != 0 || r.client.Responses() != 0 {
+		if r.server.rxErrors != sent || r.server.served != 0 || r.client.Responses() != 0 {
 			t.Fatalf("failRead=%v: rxErrors=%d served=%d responses=%d, want %d/0/0",
-				failRead, r.server.rxErrors, r.server.Served(), r.client.Responses(), sent)
+				failRead, r.server.rxErrors, r.server.served, r.client.Responses(), sent)
 		}
 		if got := r.server.nic.RxRingLen(); got != ring {
 			t.Fatalf("failRead=%v: RX ring holds %d buffers, want %d", failRead, got, ring)
 		}
-		if got := r.sPool.alloc.AllocCount(); got != base {
-			t.Fatalf("failRead=%v: %d pool allocations live, want %d", failRead, got, base)
+		if got := r.sPool.alloc.FreeBytes(); got != base {
+			t.Fatalf("failRead=%v: %d pool bytes free, want %d", failRead, got, base)
 		}
 	}
 }

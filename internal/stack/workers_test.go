@@ -8,7 +8,6 @@ import (
 	"cxlpool/internal/netsim"
 	"cxlpool/internal/nicsim"
 	"cxlpool/internal/sim"
-	"cxlpool/internal/workload"
 )
 
 // runWithWorkers runs a fixed overload against a server with n workers
@@ -32,8 +31,8 @@ func runWithWorkers(t *testing.T, workers int) float64 {
 	size := 1 << 23
 	sr := mem.NewRegion("s", 0, size, ddr, nil)
 	cr := mem.NewRegion("c", 0, size, ddr, nil)
-	sPool := NewBufferPool("s", sr, sr, 0, size)
-	cPool := NewBufferPool("c", cr, cr, 0, size)
+	sPool := NewBufferPool(sr, sr, 0, size)
+	cPool := NewBufferPool(cr, cr, 0, size)
 	if _, err := NewServerWorkers(engine, sNIC, sPool, 75, 512, workers); err != nil {
 		t.Fatal(err)
 	}
@@ -66,15 +65,15 @@ func TestNewServerWorkersValidation(t *testing.T) {
 	engine := sim.NewEngine(1)
 	nic := nicsim.New("x", nicsim.Config{})
 	r := mem.NewRegion("m", 0, 1<<20, mem.Timing{}, nil)
-	pool := NewBufferPool("p", r, r, 0, 1<<20)
+	pool := NewBufferPool(r, r, 0, 1<<20)
 	if _, err := NewServerWorkers(engine, nic, pool, 64, 8, 0); err == nil {
 		t.Fatal("zero workers accepted")
 	}
 }
 
-// IMIX-style mixed packet sizes through the CXL buffer path: every
-// size delivered, no errors — the "general-purpose computing" traffic
-// the paper targets (§4.1).
+// Echo traffic at the largest IMIX packet size through the CXL buffer
+// path: every request answered, no errors — the "general-purpose
+// computing" traffic the paper targets (§4.1).
 func TestIMIXTrafficOverCXLBuffers(t *testing.T) {
 	engine := sim.NewEngine(9)
 	fabric := netsim.NewFabric("tor", engine)
@@ -98,18 +97,14 @@ func TestIMIXTrafficOverCXLBuffers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sPool := NewBufferPool("cxl", cv, dv, 0, size)
+	sPool := NewBufferPool(cv, dv, 0, size)
 	ddr := cxl.DDRTiming()
 	cr := mem.NewRegion("c", 0, size, ddr, nil)
-	cPool := NewBufferPool("c", cr, cr, 0, size)
+	cPool := NewBufferPool(cr, cr, 0, size)
 	// Buffers sized for the largest IMIX packet.
 	if _, err := NewServer(engine, sNIC, sPool, 1500, 256); err != nil {
 		t.Fatal(err)
 	}
-	mix := workload.IMIXLike(sim.NewRand(5))
-	// One client per packet size from the mix would complicate buffer
-	// management; instead send at the max size with mixed *valid* sizes
-	// by truncating payloads client-side.
 	cl, err := NewClient(engine, cNIC, cPool, "server", 1500, 256, sim.NewRand(6))
 	if err != nil {
 		t.Fatal(err)
@@ -120,13 +115,5 @@ func TestIMIXTrafficOverCXLBuffers(t *testing.T) {
 	}
 	if cl.Responses() != cl.Sent() {
 		t.Fatalf("IMIX run lost packets: %d/%d", cl.Responses(), cl.Sent())
-	}
-	_ = mix.Next() // mix exercised for distribution sanity below
-	counts := map[int]int{}
-	for i := 0; i < 1000; i++ {
-		counts[mix.Next()]++
-	}
-	if len(counts) != 3 {
-		t.Fatalf("IMIX produced %d distinct sizes", len(counts))
 	}
 }

@@ -15,8 +15,8 @@
 //     cross-row" placement preferences read Path(...).Hops.
 //
 // Topologies are built through validating constructors (Uniform,
-// MultiRow, Heterogeneous, or the CLI-facing Preset) and are immutable
-// afterwards; default link shapes derive from netsim's switch
+// MultiRow, New for explicit per-rack specs, or the CLI-facing Preset)
+// and are immutable afterwards; default link shapes derive from netsim's switch
 // constants exactly like the old cluster.DefaultFabric did, so the
 // default single-row fleet reproduces the previous spine tier
 // (4050 ns, 50 GB/s between any two racks) byte for byte.
@@ -159,15 +159,6 @@ type Domain struct {
 	rowIdx   int // global row index; -1 for non-rows
 }
 
-// Parent returns the enclosing domain (nil for the root).
-func (d *Domain) Parent() *Domain { return d.parent }
-
-// Children returns the contained domains in build order.
-func (d *Domain) Children() []*Domain { return d.children }
-
-// RackIndex returns the global rack index (-1 for non-rack domains).
-func (d *Domain) RackIndex() int { return d.rackIdx }
-
 // Path is the aggregate cost of the tree walk between two domains:
 // link count, one-way latency (links plus transit switch forwards),
 // and the bottleneck bandwidth across the links crossed. The zero Path
@@ -181,13 +172,6 @@ type Path struct {
 
 // RTT is the round-trip latency of the path.
 func (p Path) RTT() sim.Duration { return 2 * p.Latency }
-
-// Transfer returns the time to move n bytes over the path: one
-// traversal plus serialization at the bottleneck bandwidth. Zero-byte
-// transfers cost one traversal; node-local paths cost nothing.
-func (p Path) Transfer(n int) sim.Duration {
-	return p.Latency + p.Bandwidth.TransferTime(n)
-}
 
 // String renders "Nhop lat / bw".
 func (p Path) String() string {
@@ -374,14 +358,6 @@ func MultiRow(rows, racksPerRow int, spec RackSpec) (*Topology, error) {
 	return New(rowSpecs)
 }
 
-// Heterogeneous builds a single row from explicit per-rack specs.
-func Heterogeneous(specs []RackSpec) (*Topology, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("%w: no racks", ErrInvalid)
-	}
-	return New([][]RackSpec{append([]RackSpec(nil), specs...)})
-}
-
 // Default is the legacy fleet shape: one row of four identical racks.
 func Default() *Topology {
 	t, err := Uniform(4, RackSpec{})
@@ -503,17 +479,6 @@ func (t *Topology) PDUOf(i int) int { return t.pduOf[i] }
 // CRACCount returns how many cooling domains the fleet has. A CRAC
 // serves exactly one row, so cooling domains map one-to-one onto rows.
 func (t *Topology) CRACCount() int { return len(t.rows) }
-
-// CRACRacks returns the rack indexes cooled by CRAC c (= row c).
-func (t *Topology) CRACRacks(c int) []int {
-	var out []int
-	for i := range t.racks {
-		if t.RowOf(i) == c {
-			out = append(out, i)
-		}
-	}
-	return out
-}
 
 // SameRow reports whether racks i and j share a row.
 func (t *Topology) SameRow(i, j int) bool { return t.racks[i].parent == t.racks[j].parent }

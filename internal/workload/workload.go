@@ -116,63 +116,6 @@ func (s *Sampler) Next() VMType {
 	return s.types[len(s.types)-1]
 }
 
-// MeanDemand returns the expectation of the mix.
-func MeanDemand(types []VMType) Resources {
-	var m Resources
-	for _, t := range types {
-		m.Cores += t.Freq * t.Req.Cores
-		m.MemGB += t.Freq * t.Req.MemGB
-		m.SSDGB += t.Freq * t.Req.SSDGB
-		m.NICGbps += t.Freq * t.Req.NICGbps
-	}
-	return m
-}
-
-// PacketMix describes a packet-size distribution for NIC workloads.
-type PacketMix struct {
-	Sizes []int
-	Freqs []float64
-	cdf   []float64
-	rng   *sim.Rand
-}
-
-// NewPacketMix builds a sampler over (size, frequency) pairs.
-func NewPacketMix(sizes []int, freqs []float64, rng *sim.Rand) (*PacketMix, error) {
-	if len(sizes) == 0 || len(sizes) != len(freqs) {
-		return nil, fmt.Errorf("workload: sizes/freqs mismatch")
-	}
-	cdf := make([]float64, len(freqs))
-	sum := 0.0
-	for i, f := range freqs {
-		sum += f
-		cdf[i] = sum
-	}
-	if sum < 0.999 || sum > 1.001 {
-		return nil, fmt.Errorf("workload: packet frequencies sum to %g", sum)
-	}
-	return &PacketMix{Sizes: sizes, Freqs: freqs, cdf: cdf, rng: rng}, nil
-}
-
-// IMIXLike returns a datacenter-flavored trimodal packet mix.
-func IMIXLike(rng *sim.Rand) *PacketMix {
-	m, err := NewPacketMix([]int{75, 576, 1500}, []float64{0.55, 0.2, 0.25}, rng)
-	if err != nil {
-		panic(err) // static inputs cannot fail
-	}
-	return m
-}
-
-// Next draws one packet size.
-func (m *PacketMix) Next() int {
-	u := m.rng.Float64()
-	for i, c := range m.cdf {
-		if u <= c {
-			return m.Sizes[i]
-		}
-	}
-	return m.Sizes[len(m.Sizes)-1]
-}
-
 // TenantDemand samples baseline NIC demand (Gbps) for pooled-device
 // tenants: light services dominate, with elephants in the tail. It is
 // the per-tenant analogue of the VM mix — tuned so a handful of

@@ -85,7 +85,7 @@ func TestSamplerValidation(t *testing.T) {
 
 func TestMeanDemandMatchesSampling(t *testing.T) {
 	types := DefaultVMTypes()
-	mean := MeanDemand(types)
+	mean := meanDemand(types)
 	s, err := NewSampler(types, sim.NewRand(2))
 	if err != nil {
 		t.Fatal(err)
@@ -108,7 +108,7 @@ func TestMixCalibrationBindsOnCompute(t *testing.T) {
 	// host shape: VMs-per-host limited by compute, with SSD and NIC
 	// demand clearly below capacity at that point (Figure 2's regime).
 	host := DefaultHost()
-	mean := MeanDemand(DefaultVMTypes())
+	mean := meanDemand(DefaultVMTypes())
 	vmsByCPU := host.Cores / mean.Cores
 	vmsByMem := host.MemGB / mean.MemGB
 	vmsBySSD := host.SSDGB / mean.SSDGB
@@ -125,41 +125,6 @@ func TestMixCalibrationBindsOnCompute(t *testing.T) {
 	}
 }
 
-func TestPacketMix(t *testing.T) {
-	rng := sim.NewRand(3)
-	m := IMIXLike(rng)
-	counts := map[int]int{}
-	for i := 0; i < 50000; i++ {
-		counts[m.Next()]++
-	}
-	if counts[75] < counts[1500] {
-		t.Fatal("IMIX should favor small packets")
-	}
-	total := 0
-	for sz, c := range counts {
-		if sz != 75 && sz != 576 && sz != 1500 {
-			t.Fatalf("unexpected size %d", sz)
-		}
-		total += c
-	}
-	if total != 50000 {
-		t.Fatal("samples lost")
-	}
-}
-
-func TestPacketMixValidation(t *testing.T) {
-	rng := sim.NewRand(1)
-	if _, err := NewPacketMix(nil, nil, rng); err == nil {
-		t.Fatal("empty mix accepted")
-	}
-	if _, err := NewPacketMix([]int{64}, []float64{0.5}, rng); err == nil {
-		t.Fatal("non-normalized accepted")
-	}
-	if _, err := NewPacketMix([]int{64, 128}, []float64{1.0}, rng); err == nil {
-		t.Fatal("length mismatch accepted")
-	}
-}
-
 // Property: Fits is monotone — if demand fits, any smaller demand fits.
 func TestFitsMonotoneProperty(t *testing.T) {
 	if err := quick.Check(func(c, m, s, n uint16) bool {
@@ -173,4 +138,16 @@ func TestFitsMonotoneProperty(t *testing.T) {
 	}, nil); err != nil {
 		t.Error(err)
 	}
+}
+
+// meanDemand returns the expectation of a VM-type mix.
+func meanDemand(types []VMType) Resources {
+	var m Resources
+	for _, t := range types {
+		m.Cores += t.Freq * t.Req.Cores
+		m.MemGB += t.Freq * t.Req.MemGB
+		m.SSDGB += t.Freq * t.Req.SSDGB
+		m.NICGbps += t.Freq * t.Req.NICGbps
+	}
+	return m
 }
