@@ -10,13 +10,13 @@
 //
 // Usage:
 //
-//	poollint [-list] [-callers dir,...] [packages...]
+//	poollint [-list] [packages...]
 //
 // Package patterns are resolved by `go list`; the default is ./....
 // testonly needs every caller, so the whole module is loaded whatever
-// the patterns, and so are the non-test files of the nested modules
-// named by -callers (default bench, the benchmark module); findings
-// are printed only for the packages the patterns name.
+// the patterns, and so are the non-test files of the nested benchmark
+// module in bench/; findings are printed only for the packages the
+// patterns name.
 // Findings print as file:line:col: [analyzer] message. Exit status is 0
 // for a clean tree, 1 when findings exist, and 2 on usage or load
 // errors. Deliberate exceptions are annotated in source with
@@ -37,6 +37,10 @@ import (
 	"cxlpool/internal/lint"
 )
 
+// benchModule is the nested benchmark module: its non-test code calls
+// the simulator's internal/ API, so testonly counts it as a caller.
+const benchModule = "bench"
+
 // listPackage is the subset of `go list -json` output the driver needs.
 type listPackage struct {
 	Dir            string
@@ -49,9 +53,8 @@ type listPackage struct {
 
 func main() {
 	listOnly := flag.Bool("list", false, "list the analyzers in the suite and exit")
-	callers := flag.String("callers", "bench", "comma-separated nested module `dirs` whose non-test code counts as callers")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: poollint [-list] [-callers dir,...] [packages...]\n\nAnalyzers:\n")
+		fmt.Fprintf(os.Stderr, "usage: poollint [-list] [packages...]\n\nAnalyzers:\n")
 		for _, a := range lint.All() {
 			fmt.Fprintf(os.Stderr, "  %-10s %s\n", a.Name, a.Doc)
 		}
@@ -115,19 +118,14 @@ func main() {
 			}
 		}
 	}
-	for _, dir := range strings.Split(*callers, ",") {
-		if dir == "" {
-			continue
-		}
-		nested, err := goList(dir, []string{"./..."})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "poollint: callers %s: %v\n", dir, err)
-			os.Exit(2)
-		}
-		for _, lp := range nested {
-			if pkg := load(lp.ImportPath, join(lp.Dir, lp.GoFiles)); pkg != nil {
-				units = append(units, pkg)
-			}
+	bench, err := goList(benchModule, []string{"./..."})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "poollint: %s: %v\n", benchModule, err)
+		os.Exit(2)
+	}
+	for _, lp := range bench {
+		if pkg := load(lp.ImportPath, join(lp.Dir, lp.GoFiles)); pkg != nil {
+			units = append(units, pkg)
 		}
 	}
 	if loadErrs > 0 {

@@ -1,7 +1,8 @@
 // nicpool demonstrates the §2/§4.2 NIC-pooling story end to end: a
 // pod where one host's NIC fails mid-traffic and the orchestrator
 // transparently fails the workload over to a pooled NIC on another
-// host, then rebalances when one device runs hot.
+// host, then rebalances when one device runs hot; finally host1 is
+// drained and hot-removed for maintenance.
 package main
 
 import (
@@ -91,4 +92,16 @@ func main() {
 		newDev, o.FailoverTime.Percentile(50)/1e3)
 	fmt.Printf("traffic: %d sent, %d delivered (%.1f%%)\n",
 		sent, delivered, 100*float64(delivered)/float64(sent))
+
+	// Maintenance: move every assignment off host1's devices, then
+	// hot-remove host1 from the pod (§5 "operational implications").
+	moved, err := o.DrainHost("host1")
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := pod.DetachHost("host1"); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("maintenance: drained host1 (%d assignment(s) moved), hot-removed it; %d hosts remain\n",
+		moved, len(pod.Hosts()))
 }

@@ -130,4 +130,3 @@ func PlanAll(devices []Device) ([]Plan, error) {
 	}
 	return out, nil
 }
-

@@ -2,7 +2,6 @@ package bwplan
 
 import (
 	"testing"
-
 )
 
 // The §5 examples verbatim: 200G NIC -> 8 lanes, 400G NIC -> 16, six

@@ -129,6 +129,8 @@ func (v *VirtualNIC) User() *Host { return v.user }
 
 // Owner returns the host whose physical NIC currently serves this
 // device (nil when unbound).
+//
+//lint:allow testonly TestAllocateLocalFirst, TestDrainHostForMaintenance and TestDrainMarksSurviveMonitorSweeps check which host serves a vNIC
 func (v *VirtualNIC) Owner() *Host { return v.owner }
 
 // Phys returns the backing physical NIC (nil when unbound).

@@ -4,7 +4,10 @@
 // count, the bufpool ownership contract, the sim event handle-validity
 // contract — was historically enforced only dynamically (golden files,
 // AllocsPerRun pins, chaos sweeps). The analyzers here catch the same bug
-// classes at the AST, before a test ever runs.
+// classes at the AST, before a test ever runs. One more, testonly, keeps
+// the exported surface lean: an exported internal/ identifier that only
+// tests reach is a finding. It is the one module-wide analyzer; it reads
+// a Refs index built over every loaded package and caller root.
 //
 // The framework deliberately mirrors golang.org/x/tools/go/analysis
 // (Analyzer, Pass, Diagnostic, analysistest-style want comments) so the

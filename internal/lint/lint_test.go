@@ -1,6 +1,9 @@
 package lint
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 // Each analyzer is pinned by an analysistest-style fixture: every line
 // that must produce a finding carries a `// want "regex"` comment, and
@@ -32,12 +35,57 @@ func TestSimHandleFixture(t *testing.T) {
 	runFixture(t, "simuse", []*Analyzer{SimHandle})
 }
 
+// benchroot stands in for the nested bench module, a caller root.
+func TestTestOnlyFixture(t *testing.T) {
+	runFixture(t, "internal/export", []*Analyzer{TestOnly}, "benchroot")
+}
+
+// Without the caller root, what only it calls reads as unreferenced.
+func TestTestOnlyCountsCallerRoots(t *testing.T) {
+	pkg, refs, err := loadFixture("internal/export")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var flagged []string
+	for _, d := range Check(pkg, []*Analyzer{TestOnly}, refs) {
+		for _, name := range []string{"BenchOnly", "Start", "Load"} {
+			if strings.Contains(d.Message, "exported "+name+" ") {
+				flagged = append(flagged, name)
+			}
+		}
+	}
+	if len(flagged) != 3 {
+		t.Errorf("without the caller root, flagged %q; want BenchOnly, Start and Load", flagged)
+	}
+}
+
+// A testonly directive without a reason is a finding and suppresses
+// nothing.
+func TestTestOnlyDirectiveNeedsReason(t *testing.T) {
+	pkg, refs, err := loadFixture("internal/noreason")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, d := range Check(pkg, []*Analyzer{TestOnly}, refs) {
+		got = append(got, d.Analyzer+": "+d.Message)
+	}
+	want := []string{
+		"lint: //lint:allow testonly requires a reason",
+		"testonly: exported Kept is referenced by nothing",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings = %q, want %q", got, want)
+	}
+}
+
 // The full suite over each fixture must yield exactly the findings the
 // per-analyzer runs assert: no analyzer fires outside its domain.
 func TestFullSuiteOnFixtures(t *testing.T) {
 	for _, path := range []string{"orch", "other", "internal/clockuse", "bufuse", "simuse"} {
 		runFixture(t, path, All())
 	}
+	runFixture(t, "internal/export", All(), "benchroot")
 }
 
 func TestAnalyzerNames(t *testing.T) {

@@ -2,11 +2,14 @@
 # lint.sh — the static-analysis gate: gofmt, go vet, and the poollint
 # analyzer suite (internal/lint) over the whole module.
 #
-# poollint enforces the repo's three machine-checked contracts:
+# poollint enforces the repo's machine-checked contracts:
 #   mapiter    no unordered map iteration in determinism-critical packages
 #   wallclock  no wall-clock time or global rand inside internal/
 #   bufown     bufpool Get/Put ownership pairing within each function
 #   simhandle  no use of a sim event handle after Cancel
+#   testonly   no exported internal/ identifier that only tests reach
+#              (module-wide, with the nested bench/ module as a caller,
+#              whatever packages are named)
 #
 # Exit nonzero on any finding. Deliberate exceptions carry
 # //lint:ordered <reason> or //lint:allow <analyzer> <reason> at the
