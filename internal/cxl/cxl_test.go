@@ -301,8 +301,8 @@ func hostName(i int) string { return string(rune('A' + i)) }
 
 func TestPodAttachDetach(t *testing.T) {
 	p := newTestPod(t, 4)
-	if len(p.order) != 4 {
-		t.Fatalf("hosts = %v", p.order)
+	if len(p.hosts) != 4 {
+		t.Fatalf("hosts = %d", len(p.hosts))
 	}
 	if len(p.devices) != 2 {
 		t.Fatalf("redundancy = %d", len(p.devices))
@@ -316,8 +316,8 @@ func TestPodAttachDetach(t *testing.T) {
 	if err := p.DetachHost("B"); !errors.Is(err, ErrNotAttached) {
 		t.Fatalf("double detach err = %v", err)
 	}
-	if len(p.order) != 3 {
-		t.Fatalf("hosts after detach = %v", p.order)
+	if len(p.hosts) != 3 {
+		t.Fatalf("hosts after detach = %d", len(p.hosts))
 	}
 	// Port freed: a new host can attach.
 	if _, err := p.AttachHost("Z"); err != nil {

@@ -18,7 +18,6 @@ type Pod struct {
 	rng     *sim.Rand
 	devices []*MHD
 	hosts   map[string]*Attachment
-	order   []string // attachment order, for deterministic iteration
 
 	// store holds every device's media in pool order (see NewPod).
 	store *mem.Store
@@ -160,7 +159,6 @@ func (p *Pod) AttachHost(host string) (*Attachment, error) {
 	// addresses land on the same media bytes from every host.
 	a.interleave = NewInterleaveAt(p.devices[0].Base(), p.Capacity(), members, bases)
 	p.hosts[host] = a
-	p.order = append(p.order, host)
 	return a, nil
 }
 
@@ -182,12 +180,6 @@ func (p *Pod) DetachHost(host string) error {
 	}
 	a.detached = true
 	delete(p.hosts, host)
-	for i, h := range p.order {
-		if h == host {
-			p.order = append(p.order[:i], p.order[i+1:]...)
-			break
-		}
-	}
 	return nil
 }
 

@@ -155,7 +155,6 @@ type Domain struct {
 	parent   *Domain
 	children []*Domain
 	depth    int
-	rackIdx  int // global rack index; -1 for non-racks
 	rowIdx   int // global row index; -1 for non-rows
 }
 
@@ -290,7 +289,7 @@ func NewWithLinks(rowSpecs [][]RackSpec, links Links) (*Topology, error) {
 	links = links.withDefaults()
 	t := &Topology{root: &Domain{
 		Kind: KindRoot, Name: "cluster", Forward: links.RootForward,
-		rackIdx: -1, rowIdx: -1,
+		rowIdx: -1,
 	}}
 	for ri, specs := range rowSpecs {
 		if len(specs) == 0 {
@@ -299,7 +298,7 @@ func NewWithLinks(rowSpecs [][]RackSpec, links Links) (*Topology, error) {
 		row := &Domain{
 			Kind: KindRow, Name: fmt.Sprintf("row%d", ri),
 			Uplink: links.RowUplink, Forward: links.RowForward,
-			parent: t.root, depth: 1, rackIdx: -1, rowIdx: ri,
+			parent: t.root, depth: 1, rowIdx: ri,
 		}
 		t.root.children = append(t.root.children, row)
 		t.rows = append(t.rows, row)
@@ -313,7 +312,7 @@ func NewWithLinks(rowSpecs [][]RackSpec, links Links) (*Topology, error) {
 				Uplink:  links.rackUplink(spec),
 				Forward: netsim.DefaultForwardLatency,
 				Spec:    spec,
-				parent:  row, depth: 2, rackIdx: len(t.racks), rowIdx: -1,
+				parent:  row, depth: 2, rowIdx: -1,
 			}
 			row.children = append(row.children, rack)
 			t.racks = append(t.racks, rack)
@@ -321,7 +320,7 @@ func NewWithLinks(rowSpecs [][]RackSpec, links Links) (*Topology, error) {
 				host := &Domain{
 					Kind: KindHost, Name: fmt.Sprintf("%s-host%d", rack.Name, h),
 					Uplink: links.hostUplink(spec),
-					parent: rack, depth: 3, rackIdx: -1, rowIdx: -1,
+					parent: rack, depth: 3, rowIdx: -1,
 				}
 				rack.children = append(rack.children, host)
 			}
