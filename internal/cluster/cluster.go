@@ -462,10 +462,10 @@ func New(cfg Config) (*Cluster, error) {
 func (c *Cluster) buildRack(idx int) (*Rack, error) {
 	cfg := c.cfg
 	spec := cfg.Topo.Rack(idx).Spec
-	// The shared segment holds every sink's RX posting (~9.5 MiB per
-	// pooled device) plus tenant channels and buffer pools: 64 MiB
-	// covers the default two devices; bigger racks scale it. Sparse
-	// chunk backing keeps idle segment memory nearly free.
+	// The shared segment holds the sinks' RX postings, tenant channels
+	// and buffer pools: 64 MiB covers the default two devices; bigger
+	// racks scale it. Sparse chunk backing keeps idle segment memory
+	// nearly free.
 	shared := 64 << 20
 	if d := spec.Devices(); d > 2 {
 		shared = (d + 1) / 2 * (64 << 20)
@@ -514,7 +514,6 @@ func (c *Cluster) buildRack(idx int) (*Rack, error) {
 	if err != nil {
 		return nil, err
 	}
-	devices := 0
 	for _, hn := range hosts[1:] {
 		h, err := pod.Host(hn)
 		if err != nil {
@@ -531,7 +530,6 @@ func (c *Cluster) buildRack(idx int) (*Rack, error) {
 			}
 			rack.capacityGbps += float64(nic.LineRate()) * 8
 			rack.poolNICs = append(rack.poolNICs, nic)
-			devices++
 		}
 	}
 	if len(rack.poolNICs) > 0 {
@@ -548,15 +546,15 @@ func (c *Cluster) buildRack(idx int) (*Rack, error) {
 			}
 		}
 	}
-	for j := 0; j < devices; j++ {
+	for j := range rack.poolNICs {
 		name := fmt.Sprintf("%s-snk%d", hosts[0], j)
 		if _, err := sinkHost.AddNIC(name); err != nil {
 			return nil, err
 		}
-		sink := core.NewVirtualNIC(sinkHost, fmt.Sprintf("%s-sink%d", rack.Name, j), core.VNICConfig{
-			BufSize:   payloadBytes + 1024,
-			RxBuffers: 1024,
-		})
+		// The default RX ring is enough: on its own host's NIC, a sink
+		// is handed each frame inside FromWire and reposts the buffer
+		// before returning, so its ring is never short by more than one.
+		sink := core.NewVirtualNIC(sinkHost, fmt.Sprintf("%s-sink%d", rack.Name, j), core.VNICConfig{BufSize: payloadBytes + 1024})
 		if _, err := sink.Bind(sinkHost, name); err != nil {
 			return nil, err
 		}

@@ -22,6 +22,25 @@ type VirtualAccel struct {
 	// bufSize is the input capacity; each slot holds the input in its
 	// first bufSize bytes and the output after it.
 	bufSize int
+	// jobFree recycles device completions (as accelsim's jobFree does).
+	jobFree []*accelJob
+}
+
+// accelJob is one started job's device completion, bound once to its
+// run method so a job hands accelsim no fresh closure.
+type accelJob struct {
+	v    *VirtualAccel
+	comp *shm.Sender
+	d    fwdDesc
+	done func(accelsim.Job)
+}
+
+// run publishes the device's completion and recycles the job.
+func (j *accelJob) run(r accelsim.Job) {
+	v, comp, d := j.v, j.comp, j.d
+	j.comp = nil
+	v.jobFree = append(v.jobFree, j)
+	v.complete(comp, d, d.addr+mem.Address(v.bufSize), r.OutputLen, r.Err != nil)
 }
 
 // VAccelConfig sizes a virtual accelerator.
@@ -99,8 +118,20 @@ func (v *VirtualAccel) Submit(now sim.Time, input []byte, onDone func(now sim.Ti
 // startJob starts the job on the owner; the output goes to the second
 // half of the slot.
 func (v *VirtualAccel) startJob(cur sim.Time, d fwdDesc, comp *shm.Sender) error {
-	out := d.addr + mem.Address(v.bufSize)
-	return v.phys.Submit(cur, d.addr, out, int(d.n), func(j accelsim.Job) {
-		v.complete(comp, d, out, j.OutputLen, j.Err != nil)
-	})
+	var j *accelJob
+	if k := len(v.jobFree); k > 0 {
+		j = v.jobFree[k-1]
+		v.jobFree = v.jobFree[:k-1]
+	} else {
+		j = &accelJob{v: v}
+		j.done = j.run
+	}
+	j.comp, j.d = comp, d
+	err := v.phys.Submit(cur, d.addr, d.addr+mem.Address(v.bufSize), int(d.n), j.done)
+	if err != nil {
+		// The device refused the job, so its completion never fires.
+		j.comp = nil
+		v.jobFree = append(v.jobFree, j)
+	}
+	return err
 }

@@ -227,3 +227,45 @@ func TestVirtualAccelForwardingOverheadSmall(t *testing.T) {
 		t.Fatal("pooled cheaper than local: impossible")
 	}
 }
+
+// TestVirtualAccelJobAllocs pins the steady-state allocation budget of
+// a pooled 4 KiB Compression job: input NT-store, command descriptor,
+// the device job and its pre-bound completion, the completion
+// descriptor, and the output read back for the callback.
+func TestVirtualAccelJobAllocs(t *testing.T) {
+	p, h0, h1, accel := accelRig(t, accelsim.Compression)
+	v := NewVirtualAccel(h0, "va", VAccelConfig{})
+	if _, err := v.Bind(h1, accel); err != nil {
+		t.Fatal(err)
+	}
+	input := make([]byte, 4096)
+	completed := 0
+	onDone := func(_ sim.Time, _ []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		completed++
+	}
+	job := func() {
+		now := p.Engine.Now()
+		if _, err := v.Submit(now, input, onDone); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Engine.RunUntil(now + 100*sim.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm scratch buffers, caches and event pools past one lap of
+	// both channel rings, so every slot's cache line is resident.
+	for i := 0; i < 300; i++ {
+		job()
+	}
+	before := completed
+	allocs := testing.AllocsPerRun(200, job)
+	if completed != before+201 {
+		t.Fatalf("measurement window completed %d of 201 jobs", completed-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("pooled 4 KiB accelerator job allocates %.1f/op, want 0", allocs)
+	}
+}
