@@ -37,11 +37,6 @@ const MaxClassBytes = 1 << maxShift
 // to use.
 type Pool struct {
 	classes [nClasses][][]byte
-
-	// Stats.
-	gets   uint64
-	puts   uint64
-	misses uint64 // Gets that had to allocate
 }
 
 // classFor returns the class index whose capacity is the smallest that
@@ -78,10 +73,8 @@ func classHolding(c int) int {
 // larger than MaxClassBytes are served by plain allocation (and Put
 // will drop them back to the GC).
 func (p *Pool) Get(n int) []byte {
-	p.gets++
 	c := classFor(n)
 	if c < 0 {
-		p.misses++
 		return make([]byte, n)
 	}
 	if l := p.classes[c]; len(l) > 0 {
@@ -90,7 +83,6 @@ func (p *Pool) Get(n int) []byte {
 		p.classes[c] = l[:len(l)-1]
 		return buf[:n]
 	}
-	p.misses++
 	return make([]byte, n, 1<<(minShift+c))
 }
 
@@ -102,6 +94,5 @@ func (p *Pool) Put(buf []byte) {
 	if c < 0 || cap(buf) > MaxClassBytes {
 		return
 	}
-	p.puts++
 	p.classes[c] = append(p.classes[c], buf[:0])
 }

@@ -20,6 +20,30 @@ import (
 type VirtualSSD struct {
 	forwarder[*ssdsim.SSD]
 	bufSize int
+	// ioFree recycles device completions (as VirtualAccel's jobFree does).
+	ioFree []*ssdIO
+}
+
+// ssdIO is one started I/O's device completion, bound once to its run
+// method so an I/O hands ssdsim no fresh closure.
+type ssdIO struct {
+	v    *VirtualSSD
+	comp *shm.Sender
+	d    fwdDesc
+	done func(ssdsim.Completion)
+}
+
+// run publishes the device's completion and recycles the I/O: a read
+// names its data, already in the command's slot, as the result.
+func (j *ssdIO) run(c ssdsim.Completion) {
+	v, comp, d := j.v, j.comp, j.d
+	j.comp = nil
+	v.ioFree = append(v.ioFree, j)
+	n := 0
+	if ssdsim.Op(d.op) == ssdsim.OpRead {
+		n = int(d.n)
+	}
+	v.complete(comp, d, d.addr, n, c.Err != nil)
 }
 
 // VSSDConfig sizes a virtual SSD.
@@ -98,14 +122,22 @@ func (v *VirtualSSD) io(now sim.Time, op ssdsim.Op, lba int64, data []byte, n in
 }
 
 // startIO rings the NVMe doorbell on the owner: a read lands its data
-// in the command's slot, which the completion names as the result.
+// in the command's slot.
 func (v *VirtualSSD) startIO(cur sim.Time, d fwdDesc, comp *shm.Sender) error {
-	op := ssdsim.Op(d.op)
-	return v.phys.Submit(cur, op, d.arg, int(d.n), d.addr, func(c ssdsim.Completion) {
-		n := 0
-		if op == ssdsim.OpRead {
-			n = int(d.n)
-		}
-		v.complete(comp, d, d.addr, n, c.Err != nil)
-	})
+	var j *ssdIO
+	if k := len(v.ioFree); k > 0 {
+		j = v.ioFree[k-1]
+		v.ioFree = v.ioFree[:k-1]
+	} else {
+		j = &ssdIO{v: v}
+		j.done = j.run
+	}
+	j.comp, j.d = comp, d
+	err := v.phys.Submit(cur, ssdsim.Op(d.op), d.arg, int(d.n), d.addr, j.done)
+	if err != nil {
+		// The device refused the I/O, so its completion never fires.
+		j.comp = nil
+		v.ioFree = append(v.ioFree, j)
+	}
+	return err
 }

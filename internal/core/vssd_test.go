@@ -248,6 +248,47 @@ func TestVirtualSSDDeviceFailureReported(t *testing.T) {
 	}
 }
 
+// TestVirtualSSDReadAllocs pins the steady-state allocation budget of
+// a pooled 4 KiB read: command descriptor, the device I/O and its
+// pre-bound completion, the completion descriptor, and the data read
+// back for the callback.
+func TestVirtualSSDReadAllocs(t *testing.T) {
+	p, h0, h1, ssd := ssdRig(t)
+	v := NewVirtualSSD(h0, "v", VSSDConfig{})
+	if _, err := v.Bind(h1, ssd); err != nil {
+		t.Fatal(err)
+	}
+	completed := 0
+	onDone := func(_ sim.Time, _ []byte, err error) {
+		if err != nil {
+			t.Error(err)
+		}
+		completed++
+	}
+	read := func() {
+		now := p.Engine.Now()
+		if _, err := v.Read(now, 0, 4096, onDone); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := p.Engine.RunUntil(now + 200*sim.Microsecond); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Warm scratch buffers, caches and event pools past one lap of
+	// both channel rings, so every slot's cache line is resident.
+	for i := 0; i < 300; i++ {
+		read()
+	}
+	before := completed
+	allocs := testing.AllocsPerRun(200, read)
+	if completed != before+201 {
+		t.Fatalf("measurement window completed %d of 201 reads", completed-before)
+	}
+	if allocs != 0 {
+		t.Fatalf("pooled 4 KiB SSD read allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func BenchmarkVirtualSSDRead4K(b *testing.B) {
 	p, h0, h1, ssd := ssdRig(b)
 	v := NewVirtualSSD(h0, "v", VSSDConfig{Buffers: 64})

@@ -221,7 +221,7 @@ func TestRegionZeroSkipsMissingChunks(t *testing.T) {
 	// chunk 2/3 edge.
 	from, n := r.Base()+chunkBytes-100, 2*chunkBytes+150
 	r.store.Zero(int(from-r.base), n)
-	if r.store.chunks[1] != nil {
+	if r.store.chunks[1].b != nil {
 		t.Fatal("Zero materialized a chunk that was never written")
 	}
 	got := make([]byte, r.Size())
@@ -244,7 +244,7 @@ func TestRegionZeroSkipsMissingChunks(t *testing.T) {
 		}
 	}
 	// A range over only the missing chunk leaves it missing.
-	if r.store.Zero(chunkBytes, chunkBytes); r.store.chunks[1] != nil {
+	if r.store.Zero(chunkBytes, chunkBytes); r.store.chunks[1].b != nil {
 		t.Fatal("Zero of an unwritten chunk materialized it")
 	}
 	if reads, writes, _, _ := r.Stats(); reads != 0 || writes != 0 {

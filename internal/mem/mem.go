@@ -14,13 +14,13 @@
 // access, for a caller that has already moved the bytes through the
 // region's Store.
 //
-// A Region's bytes live in a Store: sparse 64 KiB chunks holding the
-// bytes of n equal-size member regions interleaved at g bytes, so byte
-// off of member m sits at store offset ((off/g)*n+m)*g + off%g. A
-// standalone Region is the only member of its own store. A CXL pod
-// stripes its devices' media into one store in the order the CPU
-// interleaves the pool, so a pool access of any length is one contiguous
-// copy in the store (see cxl.Interleave).
+// A Region's bytes live in a Store: 64 KiB chunks, each backed only over
+// the extent that was written, holding the bytes of n equal-size member
+// regions interleaved at g bytes, so byte off of member m sits at store
+// offset ((off/g)*n+m)*g + off%g. A standalone Region is the only member
+// of its own store. A CXL pod stripes its devices' media into one store
+// in the order the CPU interleaves the pool, so a pool access of any
+// length is one contiguous copy in the store (see cxl.Interleave).
 package mem
 
 import (
@@ -83,13 +83,32 @@ type Timing struct {
 	Jitter sim.Duration
 }
 
-// chunkShift sizes the lazily-allocated backing chunks (64 KiB). Real
+// chunkShift sizes the chunks of a store's index (64 KiB). Real
 // experiments routinely create multi-gigabyte pools and touch a few
-// hundred kilobytes of them; eager backing arrays were ~40% of all
-// bytes allocated by the benchmark suite.
+// hundred kilobytes of them, so nothing is backed until it is written,
+// and a chunk is backed only over the extent its writes have reached:
+// the 4 KiB pages a first write touches, grown to the page-aligned union
+// as later writes land outside it. A tenant's lone 9 KiB TX buffer thus
+// pins 12 KiB rather than a whole chunk. Two cases back the whole chunk
+// at once: a write that starts at chunk offset 0 (one running on from
+// the chunk before, as a ring fills in order) and an extent that would
+// pass half the chunk. Every access inside one chunk remains a single
+// copy: splitting accesses at 4 KiB pages would turn each 8 KiB buffer
+// copy into two or three.
 const chunkShift = 16
 
 const chunkBytes = 1 << chunkShift
+
+// pageBytes is the granularity of a chunk's extent.
+const pageBytes = 4 << 10
+
+// chunk is one chunk's backing: b holds chunk bytes [off, off+len(b)),
+// and the rest of the chunk reads as zero. A chunk nobody wrote has a
+// nil b.
+type chunk struct {
+	off int
+	b   []byte
+}
 
 // Store is the sparse backing of n equal-size member regions whose bytes
 // are interleaved at a granularity of g bytes: byte off of member m sits
@@ -103,11 +122,12 @@ type Store struct {
 	gran       int
 	size       int
 	// chunks is the chunk index: chunk i covers store bytes
-	// [i<<chunkShift, (i+1)<<chunkShift) and is allocated on first
-	// write. The index itself is allocated on the first write to the
-	// store, so a store nobody writes costs one small struct. Unwritten
-	// ranges read as zero, exactly like an eager zero-filled array.
-	chunks [][]byte
+	// [i<<chunkShift, (i+1)<<chunkShift) and is backed, over an extent,
+	// on first write. The index itself is allocated on the first write to
+	// the store, so a store nobody writes costs one small struct.
+	// Unwritten ranges read as zero, exactly like an eager zero-filled
+	// array.
+	chunks []chunk
 }
 
 // NewStore returns an empty store for members regions of memberSize
@@ -163,39 +183,65 @@ func (s *Store) CopyOut(off int, buf []byte) {
 	for len(buf) > 0 {
 		ci, co := off>>chunkShift, off&(chunkBytes-1)
 		n := min(chunkBytes-co, len(buf))
-		if s.chunks != nil && s.chunks[ci] != nil {
-			copy(buf[:n], s.chunks[ci][co:])
+		var c chunk
+		if s.chunks != nil {
+			c = s.chunks[ci]
+		}
+		if co >= c.off && co+n <= c.off+len(c.b) {
+			copy(buf[:n], c.b[co-c.off:])
 		} else {
 			clear(buf[:n])
+			if lo, hi := max(co, c.off), min(co+n, c.off+len(c.b)); lo < hi {
+				copy(buf[lo-co:hi-co], c.b[lo-c.off:])
+			}
 		}
 		buf = buf[n:]
 		off += n
 	}
 }
 
-// CopyIn copies buf into the store at off, materializing chunks on first
-// touch. It panics if the range leaves the store.
+// CopyIn copies buf into the store at off, backing or growing each
+// chunk's extent to cover it. It panics if the range leaves the store.
 func (s *Store) CopyIn(off int, buf []byte) {
 	s.check(off, len(buf))
 	if s.chunks == nil && len(buf) > 0 {
-		s.chunks = make([][]byte, (s.size+chunkBytes-1)>>chunkShift)
+		s.chunks = make([]chunk, (s.size+chunkBytes-1)>>chunkShift)
 	}
 	for len(buf) > 0 {
 		ci, co := off>>chunkShift, off&(chunkBytes-1)
 		n := min(chunkBytes-co, len(buf))
-		c := s.chunks[ci]
-		if c == nil {
-			c = make([]byte, s.chunkLen(ci))
-			s.chunks[ci] = c
+		c := &s.chunks[ci]
+		if co < c.off || co+n > c.off+len(c.b) {
+			s.extend(ci, co, n)
 		}
-		copy(c[co:], buf[:n])
+		copy(c.b[co-c.off:], buf[:n])
 		buf = buf[n:]
 		off += n
 	}
 }
 
-// Zero clears store bytes [off, off+n). A chunk that was never written
-// already reads as zero, so only chunks that exist are touched: zeroing
+// extend grows chunk ci's extent to cover chunk bytes [co, co+n): to the
+// 4 KiB pages of the union with what it holds, or to the whole chunk when
+// the write starts at offset 0 or the union passes half the chunk.
+func (s *Store) extend(ci, co, n int) {
+	c := &s.chunks[ci]
+	size := s.chunkLen(ci)
+	lo, hi := co&^(pageBytes-1), min((co+n+pageBytes-1)&^(pageBytes-1), size)
+	if c.b != nil {
+		lo, hi = min(lo, c.off), max(hi, c.off+len(c.b))
+	}
+	if co == 0 || hi-lo > chunkBytes/2 {
+		lo, hi = 0, size
+	}
+	b := make([]byte, hi-lo)
+	if c.b != nil {
+		copy(b[c.off-lo:], c.b)
+	}
+	c.off, c.b = lo, b
+}
+
+// Zero clears store bytes [off, off+n). Bytes outside every chunk's
+// extent already read as zero, so only backed bytes are touched: zeroing
 // media nobody wrote allocates nothing. It panics if the range leaves
 // the store.
 func (s *Store) Zero(off, n int) {
@@ -206,8 +252,9 @@ func (s *Store) Zero(off, n int) {
 	for n > 0 {
 		ci, co := off>>chunkShift, off&(chunkBytes-1)
 		m := min(chunkBytes-co, n)
-		if c := s.chunks[ci]; c != nil {
-			clear(c[co : co+m])
+		c := &s.chunks[ci]
+		if lo, hi := max(co, c.off), min(co+m, c.off+len(c.b)); lo < hi {
+			clear(c.b[lo-c.off : hi-c.off])
 		}
 		off += m
 		n -= m
