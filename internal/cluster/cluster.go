@@ -551,10 +551,10 @@ func (c *Cluster) buildRack(idx int) (*Rack, error) {
 		if _, err := sinkHost.AddNIC(name); err != nil {
 			return nil, err
 		}
-		// The default RX ring is enough: on its own host's NIC, a sink
-		// is handed each frame inside FromWire and reposts the buffer
-		// before returning, so its ring is never short by more than one.
-		sink := core.NewVirtualNIC(sinkHost, fmt.Sprintf("%s-sink%d", rack.Name, j), core.VNICConfig{BufSize: payloadBytes + 1024})
+		// One RX buffer: a sink on its own host's NIC gets each frame
+		// and reposts its buffer inside FromWire, and the FIFO ring
+		// would write (and back) every deeper buffer for nothing.
+		sink := core.NewVirtualNIC(sinkHost, fmt.Sprintf("%s-sink%d", rack.Name, j), core.VNICConfig{BufSize: payloadBytes + 1024, RxBuffers: 1})
 		if _, err := sink.Bind(sinkHost, name); err != nil {
 			return nil, err
 		}

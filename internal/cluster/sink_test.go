@@ -9,15 +9,14 @@ import (
 	"cxlpool/internal/workload"
 )
 
-// TestSinkRxRingStaysFull pins the assumption the sinks' default RX
+// TestSinkRxRingStaysFull pins the assumption the sinks' one-buffer RX
 // ring rests on: a sink is bound to its own host's NIC, so each RX
 // completion is delivered and its buffer reposted inside the NIC's
-// FromWire, and between events the ring is always back at the depth
-// the sink posted at bind. A deferred sink delivery would leave the
-// ring short after a busy epoch and, once it ran dry, drop frames.
-// Two fleets run: fleet-hotspot's 8-rack 12x rotating hotspot, and the
-// same racks under a random schedule of every fault class with one
-// repair crew.
+// FromWire, and between events the ring again holds the one buffer the
+// sink posted at bind. A deferred sink delivery would leave the ring
+// empty after a frame and drop the next one. Two fleets run:
+// fleet-hotspot's 8-rack 12x rotating hotspot, and the same racks under
+// a random schedule of every fault class with one repair crew.
 func TestSinkRxRingStaysFull(t *testing.T) {
 	const epochs = 30
 	hotspot := func(t *testing.T) Config {
@@ -74,11 +73,10 @@ func TestSinkRxRingStaysFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			depth := map[string]int{}
 			for _, r := range c.Racks() {
 				for _, s := range r.sinks {
-					if depth[s.Name()] = s.Phys().RxRingLen(); depth[s.Name()] == 0 {
-						t.Fatalf("%s posted no RX buffers", s.Name())
+					if got := s.Phys().RxRingLen(); got != 1 {
+						t.Fatalf("%s posted %d RX buffers, want 1", s.Name(), got)
 					}
 				}
 			}
@@ -88,8 +86,8 @@ func TestSinkRxRingStaysFull(t *testing.T) {
 				}
 				for _, r := range c.Racks() {
 					for _, s := range r.sinks {
-						if got := s.Phys().RxRingLen(); got != depth[s.Name()] {
-							t.Fatalf("epoch %d: %s ring holds %d of its %d buffers", e, s.Name(), got, depth[s.Name()])
+						if got := s.Phys().RxRingLen(); got != 1 {
+							t.Fatalf("epoch %d: %s ring holds %d buffers, want 1", e, s.Name(), got)
 						}
 						if _, _, _, _, drops := s.Phys().Stats(); drops != 0 {
 							t.Fatalf("epoch %d: %s dropped %d frames", e, s.Name(), drops)

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"cxlpool/internal/mem"
-	"cxlpool/internal/metrics"
 	"cxlpool/internal/nicsim"
 	"cxlpool/internal/pcie"
 	"cxlpool/internal/shm"
@@ -97,13 +96,6 @@ type VirtualNIC struct {
 	txErrors  uint64
 	compDrops uint64
 	remaps    uint64
-
-	// SendLatency records the user-visible cost of handing a packet to
-	// the pool datapath (buffer write + descriptor send).
-	SendLatency *metrics.Recorder
-	// E2ELatency records stamp-to-delivery latency for received packets
-	// whose stamp was set by the sender.
-	E2ELatency *metrics.Recorder
 }
 
 // NewVirtualNIC creates an unbound virtual NIC for user and registers
@@ -111,11 +103,9 @@ type VirtualNIC struct {
 func NewVirtualNIC(user *Host, name string, cfg VNICConfig) *VirtualNIC {
 	cfg.defaults()
 	v := &VirtualNIC{
-		name:        name,
-		user:        user,
-		cfg:         cfg,
-		SendLatency: metrics.NewRecorder(0),
-		E2ELatency:  metrics.NewRecorder(0),
+		name: name,
+		user: user,
+		cfg:  cfg,
 	}
 	user.pod.vnics[name] = v
 	return v
@@ -335,7 +325,6 @@ func (v *VirtualNIC) Send(now sim.Time, dst string, payload []byte) (sim.Duratio
 		}
 		v.txFree = append(v.txFree, addr)
 		v.sent++
-		v.SendLatency.Record(float64(d))
 		return d, nil
 	}
 	enc, err := descriptor{kind: descTx, len: uint16(len(payload)), addr: addr, stamp: now, name: dst}.encodeInto(v.descBuf[:])
@@ -349,9 +338,7 @@ func (v *VirtualNIC) Send(now sim.Time, dst string, payload []byte) (sim.Duratio
 		return d + sd, err
 	}
 	v.sent++
-	total := d + sd
-	v.SendLatency.Record(float64(total))
-	return total, nil
+	return d + sd, nil
 }
 
 // handleOwner runs on the owner's agent for each user→owner descriptor:
@@ -449,9 +436,6 @@ func (v *VirtualNIC) deliverLocal(now sim.Time, c nicsim.RxCompletion) sim.Time 
 		v.compDrops++
 	} else {
 		v.delivered++
-		if c.Stamp > 0 {
-			v.E2ELatency.Record(float64(cur - c.Stamp))
-		}
 		if v.onRecv != nil {
 			v.onRecv(cur, c.Src, payload)
 		}
@@ -477,9 +461,6 @@ func (v *VirtualNIC) deliverRx(cur sim.Time, desc descriptor) sim.Time {
 		v.compDrops++
 	} else {
 		v.delivered++
-		if desc.stamp > 0 {
-			v.E2ELatency.Record(float64(cur - desc.stamp))
-		}
 		if v.onRecv != nil {
 			v.onRecv(cur, desc.name, payload)
 		}
