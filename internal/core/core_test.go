@@ -479,3 +479,36 @@ func BenchmarkVNICBindUnbind(b *testing.B) {
 		cycle()
 	}
 }
+
+// BenchmarkVirtualSSDBindUnbind is BenchmarkVNICBindUnbind for the
+// forwarded devices: a remote bind of a default-sized virtual SSD (32
+// 64 KiB buffers, two 256-slot channels) followed by its unbind and one
+// agent poll. A first, untimed cycle grows the device's slices.
+func BenchmarkVirtualSSDBindUnbind(b *testing.B) {
+	p, err := NewPod(Config{Hosts: 2, NICsPerHost: 0, Seed: 7, AgentPollInterval: sim.Microsecond})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h0, _ := p.Host("host0")
+	h1, _ := p.Host("host1")
+	ssd, err := h1.AddSSD("host1-ssd0", 1<<24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	v := NewVirtualSSD(h0, "vs", VSSDConfig{})
+	cycle := func() {
+		if _, err := v.Bind(h1, ssd); err != nil {
+			b.Fatal(err)
+		}
+		v.unbind()
+		if _, err := p.Engine.RunUntil(p.Engine.Now() + sim.Microsecond); err != nil {
+			b.Fatal(err)
+		}
+	}
+	cycle()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cycle()
+	}
+}

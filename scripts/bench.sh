@@ -84,10 +84,11 @@ trap 'rm -f "$RAW"' EXIT
 # Figure 3 point per panel among them), kernel stress in internal/sim,
 # packer scaling in internal/stranding, the rack-scale federation and
 # multi-row fleet cycles, fleet construction, the cache's jumbo-buffer
-# coherence range operations, one tenant vNIC bind/unbind, and an 8 KiB
-# interleaved read and write of pod memory. Every benchmark runs one
-# fixed input on every iteration, so a 1x smoke run and a 1s run measure
-# the same work and their allocs/op compare like for like.
+# coherence range operations, one tenant vNIC bind/unbind, one virtual
+# SSD bind/unbind, and an 8 KiB interleaved read and write of pod
+# memory. Every benchmark runs one fixed input on every iteration, so a
+# 1x smoke run and a 1s run measure the same work and their allocs/op
+# compare like for like.
 bench() {
     go test -run='^$' -bench="$1" -benchmem -benchtime="$BENCHTIME" -count=3 "$2" | tee -a "$RAW"
 }
@@ -95,7 +96,7 @@ bench 'Figure2Stranding|Figure2XL|SqrtNPooling|Figure3UDP75B|Figure3UDP1500B|Fig
 bench . ./internal/sim/
 bench 'PackCluster2000|PackCluster20k' ./internal/stranding/
 bench 'NTStoreJumbo|ReadStreamJumbo' ./internal/cache/
-bench 'VNICBindUnbind' ./internal/core/
+bench 'VNICBindUnbind|VirtualSSDBindUnbind' ./internal/core/
 bench 'Interleave8KRead|Interleave8KWrite' ./internal/cxl/
 
 # One row per benchmark, in first-run order, each figure the minimum of
