@@ -15,9 +15,9 @@ const DefaultAgentPoll sim.Duration = 300
 // that carry forwarded device operations.
 //
 // The agent is a single spinning core that sweeps a set of services —
-// one per channel it is responsible for. Virtual NICs register two
-// services per binding (TX descriptors at the owner, completions at the
-// user); virtual SSDs likewise. The agent's time cursor advances
+// one per channel it is responsible for. Every pooled device's binding
+// (virtual NIC, SSD or accelerator) registers two: commands at the
+// owner, completions at the user. The agent's time cursor advances
 // through every poll and every forwarded operation, so agent throughput
 // is honestly bounded.
 type Agent struct {

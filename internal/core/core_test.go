@@ -21,7 +21,8 @@ func newTestPod(t testing.TB, hosts int) *Pod {
 
 func TestDescriptorRoundTrip(t *testing.T) {
 	d := descriptor{kind: descTx, len: 1500, addr: 0x4000_0000_1234, stamp: 98765, name: "host2-nic0"}
-	enc, err := d.encode()
+	var buf [descSize]byte
+	enc, err := d.encodeInto(buf[:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,8 @@ func TestDescriptorRoundTrip(t *testing.T) {
 }
 
 func TestDescriptorValidation(t *testing.T) {
-	if _, err := (descriptor{kind: descTx, name: "this-name-is-way-too-long-for-a-slot"}).encode(); err == nil {
+	var buf [descSize]byte
+	if _, err := (descriptor{kind: descTx, name: "this-name-is-way-too-long-for-a-slot"}).encodeInto(buf[:]); err == nil {
 		t.Fatal("long name accepted")
 	}
 	if _, err := decodeDescriptor(make([]byte, 10)); err == nil {

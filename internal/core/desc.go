@@ -57,11 +57,6 @@ func (d descriptor) encodeInto(dst []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// encode is encodeInto with fresh storage.
-func (d descriptor) encode() ([]byte, error) {
-	return d.encodeInto(make([]byte, descSize))
-}
-
 // decode unpacks a channel payload.
 func decodeDescriptor(buf []byte) (descriptor, error) {
 	if len(buf) < descSize {

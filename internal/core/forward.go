@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"slices"
 
 	"cxlpool/internal/mem"
@@ -25,24 +24,11 @@ var (
 // as a command descriptor, is started on the physical device there, and
 // comes back as a completion descriptor naming the result bytes in the
 // same slot. The embedding device supplies the owner-side start step
-// and its argument checks; everything else lives here.
+// and its argument checks; the embedded binding carries the commands
+// and completions, and its free list holds the buffer slots.
 type forwarder[P interface{ AttachHostMemory(mem.Memory) }] struct {
-	name string
-	user *Host
-
-	owner *Host
-	phys  P
-
-	cmdSend  *shm.Sender // user→owner commands
-	compSend *shm.Sender // owner→user completions
-	ownerSvc *service
-	userSvc  *service
-	chAddrs  []mem.Address // channel footprints (freed on unbind)
-
-	class    fwdClass
-	cfgBufs  int
-	cfgSlots int
-	bufFree  []mem.Address
+	binding[P]
+	class fwdClass
 
 	// start hands a decoded command to the physical device at cur; the
 	// device's completion calls complete with comp, the completion
@@ -58,7 +44,7 @@ type forwarder[P interface{ AttachHostMemory(mem.Memory) }] struct {
 	descBuf [fwdDescSize]byte
 	dataBuf []byte
 
-	submitted, completed, errs, remaps uint64
+	submitted, completed, errs uint64
 
 	// Latency records user-visible end-to-end operation latency.
 	Latency *metrics.Recorder
@@ -132,28 +118,24 @@ func decodeFwdDesc(buf []byte) fwdDesc {
 	}
 }
 
-func newForwarder[P interface{ AttachHostMemory(mem.Memory) }](user *Host, name string, class fwdClass, bufs, slots int) forwarder[P] {
-	return forwarder[P]{
-		name: name, user: user, class: class, cfgBufs: bufs, cfgSlots: slots,
-		Latency: metrics.NewRecorder(4096),
-	}
+// init readies f, embedded in its device, for binding.
+func (f *forwarder[P]) init(user *Host, name string, class fwdClass, bufs, slots int, start func(sim.Time, fwdDesc, *shm.Sender) error) {
+	f.binding.init(user, name, f, slots, bufs, "core: "+class.label+" buffer pool")
+	f.class, f.start = class, start
+	f.Latency = metrics.NewRecorder(4096)
 }
 
 // bind tears down the current binding and builds one on owner with
 // slot-byte buffers. Operations outstanding on the old binding fail back
-// to their callers once the new one stands. On error the partial state
-// is reclaimed and the device is left cleanly unbound.
+// to their callers once the new one stands. On error the device is
+// left cleanly unbound.
 func (f *forwarder[P]) bind(owner *Host, phys P, slot int) (sim.Duration, error) {
 	aborted := f.pending
 	f.pending = nil
 	for _, p := range aborted {
-		f.bufFree = append(f.bufFree, p.buf)
+		f.free = append(f.free, p.buf)
 	}
-	f.unbind()
-	err := f.build(owner, phys, slot)
-	if err != nil {
-		f.unbind()
-	}
+	d, err := f.rebind(owner, phys, slot)
 	now := f.user.pod.Engine.Now()
 	for _, p := range aborted {
 		f.errs++
@@ -161,104 +143,44 @@ func (f *forwarder[P]) bind(owner *Host, phys P, slot int) (sim.Duration, error)
 			p.onDone(now, nil, f.class.aborted)
 		}
 	}
-	if err != nil {
-		return 0, err
-	}
-	return RemapLatency, nil
+	return d, err
 }
 
-// build makes the binding; on error the caller reclaims the partial
-// state.
-func (f *forwarder[P]) build(owner *Host, phys P, slot int) error {
-	pod := f.user.pod
-	cmdCh, err := pod.NewChannel(f.cfgSlots)
-	if err != nil {
-		return err
-	}
-	f.chAddrs = append(f.chAddrs, cmdCh.Base())
-	compCh, err := pod.NewChannel(f.cfgSlots)
-	if err != nil {
-		return err
-	}
-	f.chAddrs = append(f.chAddrs, compCh.Base())
-	f.owner = owner
-	f.phys = phys
-	// The device's DMA engine reaches the pool through the owner's
-	// address space.
-	phys.AttachHostMemory(owner.space)
-	f.cmdSend = cmdCh.NewSender(f.user.cache)
-	f.compSend = compCh.NewSender(owner.cache)
-	f.ownerSvc = owner.agent.addService(cmdCh.NewReceiver(owner.cache), f.handleOwner)
-	f.userSvc = f.user.agent.addService(compCh.NewReceiver(f.user.cache), f.handleUser)
-	for i := 0; i < f.cfgBufs; i++ {
-		a, err := pod.SharedAlloc(slot)
-		if err != nil {
-			return fmt.Errorf("core: %s buffer pool: %w", f.class.label, err)
-		}
-		f.bufFree = append(f.bufFree, a)
-	}
+// attach points the device's DMA engine at the pool through the
+// owner's address space.
+func (f *forwarder[P]) attach(int) error {
+	f.phys.AttachHostMemory(f.owner.space)
 	return nil
 }
 
-// unbind deactivates both services and returns the free buffer slots
-// and the channel footprints to the shared segment. A completion still
-// in flight from the old device is dropped by complete.
-func (f *forwarder[P]) unbind() {
-	if f.ownerSvc != nil {
-		f.ownerSvc.active = false
-		f.ownerSvc = nil
-	}
-	if f.userSvc != nil {
-		f.userSvc.active = false
-		f.userSvc = nil
-	}
-	pod := f.user.pod
-	for _, a := range f.bufFree {
-		_ = pod.SharedFree(a)
-	}
-	f.bufFree = f.bufFree[:0]
-	for _, a := range f.chAddrs {
-		_ = pod.SharedFree(a)
-	}
-	f.chAddrs = f.chAddrs[:0]
-	var none P
-	f.owner, f.phys, f.cmdSend, f.compSend = nil, none, nil, nil
-}
-
-// remap counts a successful rebind; it wraps bind's results.
-func (f *forwarder[P]) remap(d sim.Duration, err error) (sim.Duration, error) {
-	if err == nil {
-		f.remaps++
-	}
-	return d, err
-}
+// detach has nothing to release: every buffer slot is on the free list.
+func (f *forwarder[P]) detach() {}
 
 // submit takes a free slot, NT-stores payload (if any) into it, and
 // sends the command for an n-byte operation. The caller has checked
 // that the device is bound and n fits the slot.
 func (f *forwarder[P]) submit(now sim.Time, op uint8, n int, arg int64, payload []byte, onDone func(sim.Time, []byte, error)) (sim.Duration, error) {
-	if len(f.bufFree) == 0 {
+	buf, ok := f.take()
+	if !ok {
 		return 0, ErrNoIOBuffer
 	}
-	buf := f.bufFree[len(f.bufFree)-1]
-	f.bufFree = f.bufFree[:len(f.bufFree)-1]
 	var spent sim.Duration
 	if payload != nil {
 		// Software coherence: the payload must be in pool memory (not
 		// our cache) before the remote device DMA-reads it.
 		d, err := f.user.cache.NTStore(now, buf, payload)
 		if err != nil {
-			f.bufFree = append(f.bufFree, buf)
+			f.free = append(f.free, buf)
 			return 0, err
 		}
 		spent += d
 	}
 	f.nextID++
 	cmd := fwdDesc{kind: fwdCmd, op: op, n: uint32(n), arg: arg, addr: buf, id: f.nextID, stamp: now}
-	sd, err := f.cmdSend.Send(now+spent, cmd.encodeInto(f.descBuf[:]))
+	sd, err := f.toOwner.Send(now+spent, cmd.encodeInto(f.descBuf[:]))
 	spent += sd
 	if err != nil {
-		f.bufFree = append(f.bufFree, buf)
+		f.free = append(f.free, buf)
 		return spent, err
 	}
 	f.pending = append(f.pending, fwdPending{id: f.nextID, buf: buf, start: now, onDone: onDone})
@@ -274,10 +196,10 @@ func (f *forwarder[P]) handleOwner(cur sim.Time, payload []byte) sim.Time {
 		return cur
 	}
 	cur += pcie.MMIOWriteLatency // device doorbell
-	if err := f.start(cur, d, f.compSend); err != nil {
+	if err := f.start(cur, d, f.toUser); err != nil {
 		// The user side counts the failure when the reply lands.
 		d.kind = fwdErr
-		f.reply(cur, f.compSend, d)
+		f.reply(cur, f.toUser, d)
 	}
 	f.owner.agent.forwarded++
 	return cur
@@ -289,7 +211,7 @@ func (f *forwarder[P]) handleOwner(cur sim.Time, payload []byte) sim.Time {
 // channel is freed and the reply is dropped (the rebind already failed
 // the operation back to its caller).
 func (f *forwarder[P]) complete(comp *shm.Sender, d fwdDesc, addr mem.Address, n int, failed bool) {
-	if comp != f.compSend {
+	if f.stale(comp) {
 		return
 	}
 	d.kind, d.addr, d.n = fwdComp, addr, uint32(n)
@@ -334,7 +256,7 @@ func (f *forwarder[P]) handleUser(cur sim.Time, payload []byte) sim.Time {
 			data = nil
 		}
 	}
-	f.bufFree = append(f.bufFree, p.buf)
+	f.free = append(f.free, p.buf)
 	f.completed++
 	if opErr == nil {
 		f.Latency.Record(float64(cur - p.start))

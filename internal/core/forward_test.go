@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"cxlpool/internal/accelsim"
@@ -11,9 +12,9 @@ import (
 	"cxlpool/internal/ssdsim"
 )
 
-// fwdRig drives one forwarded device (a VirtualSSD or a VirtualAccel)
-// on host0, with two backing devices: device 0 on host1, device 1 on
-// host2.
+// fwdRig drives one pooled device (a VirtualSSD, a VirtualAccel or a
+// VirtualNIC) on host0, with two backing devices: device 0 on host1,
+// device 1 on host2.
 type fwdRig struct {
 	pod   *Pod
 	hosts []*Host
@@ -28,9 +29,9 @@ type fwdRig struct {
 	op func(now sim.Time, i int, done func(err error, verified bool)) (sim.Duration, error)
 }
 
-func fwdHosts(t *testing.T, shared int) (*Pod, []*Host) {
+func fwdHosts(t *testing.T, nics, shared int) (*Pod, []*Host) {
 	t.Helper()
-	p, err := NewPod(Config{Hosts: 3, NICsPerHost: 0, SharedSize: shared, Seed: 31})
+	p, err := NewPod(Config{Hosts: 3, NICsPerHost: nics, SharedSize: shared, Seed: 31})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func fwdPattern(seed, n int) []byte {
 
 // ssdFwdRig: even ops write sector i/2, odd ops read it back.
 func ssdFwdRig(t *testing.T, shared int) *fwdRig {
-	p, hosts := fwdHosts(t, shared)
+	p, hosts := fwdHosts(t, 0, shared)
 	var ssds []*ssdsim.SSD
 	for _, h := range hosts[1:] {
 		s, err := h.AddSSD(h.Name()+"-ssd0", 1<<24)
@@ -85,7 +86,7 @@ func ssdFwdRig(t *testing.T, shared int) *fwdRig {
 // enough, ~100 us, to remap under); its output is checked against
 // accelsim.Transform.
 func accelFwdRig(t *testing.T, shared int) *fwdRig {
-	p, hosts := fwdHosts(t, shared)
+	p, hosts := fwdHosts(t, 0, shared)
 	accels := []*accelsim.Accel{
 		accelsim.New("accel0", p.Engine, accelsim.HomomorphicEncryption),
 		accelsim.New("accel1", p.Engine, accelsim.HomomorphicEncryption),
@@ -104,12 +105,61 @@ func accelFwdRig(t *testing.T, shared int) *fwdRig {
 	}
 }
 
+// vnicFwdRig returns a rig for a vNIC sized by cfg. Its op i is a
+// frame that host0's own NIC sends from host memory to the vNIC's
+// current NIC, so the vNIC only receives: its RX buffers are posted and
+// consumed while no TX of its own is in flight. done fires on delivery.
+func vnicFwdRig(cfg VNICConfig) func(t *testing.T, shared int) *fwdRig {
+	return func(t *testing.T, shared int) *fwdRig {
+		p, hosts := fwdHosts(t, 1, shared)
+		src, err := hosts[0].NIC("host0-nic0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := NewVirtualNIC(hosts[0], "vn", cfg)
+		frame := func(i int) []byte {
+			b := fwdPattern(i, 256)
+			b[0] = byte(i)
+			return b
+		}
+		dones := map[byte]func(error, bool){}
+		v.OnReceive(func(_ sim.Time, _ string, payload []byte) {
+			if done := dones[payload[0]]; done != nil {
+				delete(dones, payload[0])
+				done(nil, bytes.Equal(payload, frame(int(payload[0]))))
+			}
+		})
+		nic := func(i int) string { return hosts[i+1].Name() + "-nic0" }
+		return &fwdRig{
+			pod: p, hosts: hosts, dev: v,
+			bind:  func(i int) (sim.Duration, error) { return v.Bind(hosts[i+1], nic(i)) },
+			remap: func(i int) (sim.Duration, error) { return v.Remap(hosts[i+1], nic(i)) },
+			op: func(now sim.Time, i int, done func(error, bool)) (sim.Duration, error) {
+				if v.Phys() == nil {
+					return 0, ErrNotBound
+				}
+				dones[byte(i)] = done
+				d, err := hosts[0].cache.NTStore(now, HostDDRBase, frame(i))
+				if err != nil {
+					return 0, err
+				}
+				sd, err := src.Transmit(now+d, HostDDRBase, 256, v.Phys().Name(), now)
+				return d + sd, err
+			},
+		}
+	}
+}
+
+// fwdRigs lists the pooled devices. aborts marks the forwarded ones,
+// whose operations outstanding at a rebind fail back to their callers.
 var fwdRigs = []struct {
-	name string
-	rig  func(t *testing.T, shared int) *fwdRig
+	name   string
+	rig    func(t *testing.T, shared int) *fwdRig
+	aborts bool
 }{
-	{"ssd", ssdFwdRig},
-	{"accel", accelFwdRig},
+	{"ssd", ssdFwdRig, true},
+	{"accel", accelFwdRig, true},
+	{"vnic", vnicFwdRig(VNICConfig{}), false},
 }
 
 // stats reads a forwarder's counters.
@@ -117,9 +167,14 @@ func (f *forwarder[P]) stats() (submitted, completed, errs, remaps uint64) {
 	return f.submitted, f.completed, f.errs, f.remaps
 }
 
+// stats reads a vNIC's counters: sent, delivered, TX errors, remaps.
+func (v *VirtualNIC) stats() (submitted, completed, errs, remaps uint64) {
+	return v.Stats()
+}
+
 // bound reports the serving host and whether a backing device is set.
-func (f *forwarder[P]) bound() (owner *Host, phys bool) {
-	return f.owner, any(f.phys) != any(*new(P))
+func (b *binding[P]) bound() (owner *Host, phys bool) {
+	return b.owner, any(b.phys) != any(*new(P))
 }
 
 // runTo advances the rig's engine to t.
@@ -132,7 +187,8 @@ func (r *fwdRig) runTo(t *testing.T, at sim.Time) {
 
 // A remap with an operation outstanding returns every shared-segment
 // byte of the old binding: its channel pair and all its buffer slots,
-// including the aborted operation's.
+// including an aborted operation's. A vNIC's operation is an inbound
+// frame, so its binding has RX buffers posted and no TX in flight.
 func TestForwarderRemapReturnsSegment(t *testing.T) {
 	for _, tc := range fwdRigs {
 		t.Run(tc.name, func(t *testing.T) {
@@ -160,22 +216,45 @@ func TestForwarderRemapReturnsSegment(t *testing.T) {
 				t.Fatalf("after drain: shared segment free %d B, want %d", got, free)
 			}
 			_, completed, errs, remaps := r.dev.stats()
-			if completed != 0 || errs != 4 || remaps != 4 {
-				t.Fatalf("stats completed=%d errs=%d remaps=%d, want 0/4/4", completed, errs, remaps)
+			if remaps != 4 {
+				t.Fatalf("remaps=%d, want 4", remaps)
+			}
+			if tc.aborts && (completed != 0 || errs != 4) {
+				t.Fatalf("stats completed=%d errs=%d, want 0/4", completed, errs)
+			}
+			// Frames 2 and 4 went to the NIC the vNIC left; 1 and 3 to
+			// the one it serves from at the end.
+			if !tc.aborts && completed != 2 {
+				t.Fatalf("vNIC delivered %d frames, want 2", completed)
 			}
 		})
 	}
 }
 
-// A bind whose buffer pool does not fit the shared segment gives back
-// what it took and leaves the device cleanly unbound.
+// A bind that fails at any of its steps gives back what it took and
+// leaves the device cleanly unbound. The forwarded devices' buffer pools
+// do not fit a 256 KiB segment; the vNIC fails at each of its four
+// steps in turn: channel, TX pool, RX pool and RX posting (2,000
+// buffers for a 1,024-slot ring).
 func TestForwarderFailedBindUnbinds(t *testing.T) {
-	for _, tc := range fwdRigs {
+	for _, tc := range []struct {
+		name   string
+		rig    func(t *testing.T, shared int) *fwdRig
+		shared int
+		want   string // the failing step, in the bind error
+	}{
+		{"ssd", ssdFwdRig, 256 << 10, "vSSD buffer pool"},
+		{"accel", accelFwdRig, 256 << 10, "vAccel buffer pool"},
+		{"vnic/channel", vnicFwdRig(VNICConfig{}), 8 << 10, "allocating channel"},
+		{"vnic/tx-pool", vnicFwdRig(VNICConfig{}), 300 << 10, "vNIC TX pool"},
+		{"vnic/rx-pool", vnicFwdRig(VNICConfig{}), 900 << 10, "vNIC RX pool"},
+		{"vnic/rx-posting", vnicFwdRig(VNICConfig{BufSize: 2048, RxBuffers: 2000}), 0, "RX ring full"},
+	} {
 		t.Run(tc.name, func(t *testing.T) {
-			r := tc.rig(t, 256<<10)
+			r := tc.rig(t, tc.shared)
 			free := r.pod.sharedAlloc.FreeBytes()
-			if _, err := r.bind(0); err == nil {
-				t.Fatal("bind fit a buffer pool larger than the shared segment")
+			if _, err := r.bind(0); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("bind err = %v, want a failure at %q", err, tc.want)
 			}
 			if got := r.pod.sharedAlloc.FreeBytes(); got != free {
 				t.Fatalf("failed bind: shared segment free %d B, want %d (leaked %d B)", got, free, free-got)
@@ -199,6 +278,9 @@ func TestForwarderFailedBindUnbinds(t *testing.T) {
 // bytes.
 func TestForwarderRemapMidOperation(t *testing.T) {
 	for _, tc := range fwdRigs {
+		if !tc.aborts {
+			continue // a vNIC has no operation to abort
+		}
 		t.Run(tc.name, func(t *testing.T) {
 			r := tc.rig(t, 0)
 			if _, err := r.bind(0); err != nil {

@@ -16,7 +16,7 @@ import (
 // the owner's agent drives the physical device. Deploying a 1:16
 // accelerator:host ratio becomes a software mapping instead of a
 // hardware topology. The transport, with its Latency recorder, is the
-// embedded forwarder.
+// embedded forwarder, built on the binding every pooled device shares.
 type VirtualAccel struct {
 	forwarder[*accelsim.Accel]
 	// bufSize is the input capacity; each slot holds the input in its
@@ -75,11 +75,8 @@ var accelClass = fwdClass{
 // NewVirtualAccel creates an unbound virtual accelerator for user.
 func NewVirtualAccel(user *Host, name string, cfg VAccelConfig) *VirtualAccel {
 	cfg.defaults()
-	v := &VirtualAccel{
-		forwarder: newForwarder[*accelsim.Accel](user, name, accelClass, cfg.Buffers, cfg.ChannelSlots),
-		bufSize:   cfg.BufSize,
-	}
-	v.start = v.startJob
+	v := &VirtualAccel{bufSize: cfg.BufSize}
+	v.init(user, name, accelClass, cfg.Buffers, cfg.ChannelSlots, v.startJob)
 	return v
 }
 

@@ -8,7 +8,6 @@ import (
 	"cxlpool/internal/mem"
 	"cxlpool/internal/nicsim"
 	"cxlpool/internal/pcie"
-	"cxlpool/internal/shm"
 	"cxlpool/internal/sim"
 )
 
@@ -59,25 +58,12 @@ func (c *VNICConfig) defaults() {
 // CXL pool's shared segment; doorbells and completions travel over
 // shared-memory channels.
 type VirtualNIC struct {
-	name string
-	user *Host
-	cfg  VNICConfig
+	// binding carries TX and repost descriptors to the owner and
+	// completions back; its free list is the TX buffer pool.
+	binding[*nicsim.NIC]
+	cfg VNICConfig
 
-	owner *Host
-	phys  *nicsim.NIC
-
-	// Channel endpoints (user side).
-	txSend *shm.Sender
-	// compSend is the owner-side completion publisher.
-	compSend *shm.Sender
-	// Agent services: ownerSvc drains TX/repost descriptors on the
-	// owner; userSvc drains completions on the user.
-	ownerSvc *service
-	userSvc  *service
-
-	txFree  []mem.Address
-	rxAddrs []mem.Address // owned RX buffers (for cleanup/remap)
-	chAddrs []mem.Address // owned channel footprints (freed on unbind)
+	rxAddrs []mem.Address // posted RX buffers (for cleanup/remap)
 
 	// descBuf is the descriptor staging scratch: every encode is
 	// consumed synchronously by a channel Send (which copies the bytes
@@ -95,18 +81,14 @@ type VirtualNIC struct {
 	delivered uint64
 	txErrors  uint64
 	compDrops uint64
-	remaps    uint64
 }
 
 // NewVirtualNIC creates an unbound virtual NIC for user and registers
 // it in the pod's device registry (for control-plane name resolution).
 func NewVirtualNIC(user *Host, name string, cfg VNICConfig) *VirtualNIC {
 	cfg.defaults()
-	v := &VirtualNIC{
-		name: name,
-		user: user,
-		cfg:  cfg,
-	}
+	v := &VirtualNIC{cfg: cfg}
+	v.init(user, name, v, cfg.ChannelSlots, cfg.TxBuffers, "core: vNIC TX pool")
 	user.pod.vnics[name] = v
 	return v
 }
@@ -154,98 +136,39 @@ func (v *VirtualNIC) Bind(owner *Host, physName string) (sim.Duration, error) {
 	if err != nil {
 		return 0, err
 	}
-	if v.phys != nil {
-		v.unbind()
-	}
-	if err := v.bind(owner, phys); err != nil {
-		v.unbind()
-		return 0, err
-	}
-	return RemapLatency, nil
+	return v.rebind(owner, phys, v.cfg.BufSize)
 }
 
-// bind builds the binding; on error the caller reclaims the partial
-// state (owner/phys are set first so cleanup can unpost RX buffers).
-func (v *VirtualNIC) bind(owner *Host, phys *nicsim.NIC) error {
+// attach allocates the RX pool and posts it to the device.
+func (v *VirtualNIC) attach(slot int) error {
 	pod := v.user.pod
-	txCh, err := pod.NewChannel(v.cfg.ChannelSlots)
-	if err != nil {
-		return err
-	}
-	v.chAddrs = append(v.chAddrs, txCh.Base())
-	compCh, err := pod.NewChannel(v.cfg.ChannelSlots)
-	if err != nil {
-		return err
-	}
-	v.chAddrs = append(v.chAddrs, compCh.Base())
-	v.owner = owner
-	v.phys = phys
-	v.txSend = txCh.NewSender(v.user.cache)
-	v.compSend = compCh.NewSender(owner.cache)
-	v.ownerSvc = owner.agent.addService(txCh.NewReceiver(owner.cache), v.handleOwner)
-	v.userSvc = v.user.agent.addService(compCh.NewReceiver(v.user.cache), v.handleUser)
-
-	// Allocate TX pool and post RX buffers (control-plane setup).
-	v.txFree = slices.Grow(v.txFree[:0], v.cfg.TxBuffers)
-	for i := 0; i < v.cfg.TxBuffers; i++ {
-		a, err := pod.SharedAlloc(v.cfg.BufSize)
-		if err != nil {
-			return fmt.Errorf("core: vNIC TX pool: %w", err)
-		}
-		v.txFree = append(v.txFree, a)
-	}
 	v.rxAddrs = slices.Grow(v.rxAddrs[:0], v.cfg.RxBuffers)
 	for i := 0; i < v.cfg.RxBuffers; i++ {
-		a, err := pod.SharedAlloc(v.cfg.BufSize)
+		a, err := pod.SharedAlloc(slot)
 		if err != nil {
 			return fmt.Errorf("core: vNIC RX pool: %w", err)
 		}
 		v.rxAddrs = append(v.rxAddrs, a)
 	}
-	if err := phys.PostRxBuffers(v.rxAddrs, v.cfg.BufSize); err != nil {
+	if err := v.phys.PostRxBuffers(v.rxAddrs, slot); err != nil {
 		return err
 	}
-	phys.OnReceive(v.ownerRxCompletion)
+	v.phys.OnReceive(v.ownerRxCompletion)
 	return nil
 }
 
-// unbind deactivates channel service and releases buffers.
-func (v *VirtualNIC) unbind() {
-	if v.ownerSvc != nil {
-		v.ownerSvc.active = false
-		v.ownerSvc = nil
-	}
-	if v.userSvc != nil {
-		v.userSvc.active = false
-		v.userSvc = nil
-	}
-	v.compSend = nil
-	pod := v.user.pod
-	for _, a := range v.txFree {
-		_ = pod.SharedFree(a)
-	}
-	v.txFree = v.txFree[:0]
-	// RX buffers must leave the device's ring before their memory
-	// returns to the segment: a descriptor left behind would strand
-	// ring depth and DMA future packets into reallocated memory.
+// detach returns the RX pool. The buffers must leave the device's ring
+// before their memory returns to the segment: a descriptor left behind
+// would strand ring depth and DMA future packets into reallocated
+// memory.
+func (v *VirtualNIC) detach() {
 	if v.phys != nil {
 		v.phys.UnpostRx(v.rxAddrs)
 	}
 	for _, a := range v.rxAddrs {
-		_ = pod.SharedFree(a)
+		_ = v.user.pod.SharedFree(a)
 	}
 	v.rxAddrs = v.rxAddrs[:0]
-	// Channels are torn down with the binding: in-flight descriptors
-	// are lost (as documented for Remap) and the deactivated services
-	// never touch the rings again, so the footprints return to the
-	// segment instead of leaking one channel pair per rebind.
-	for _, a := range v.chAddrs {
-		_ = pod.SharedFree(a)
-	}
-	v.chAddrs = v.chAddrs[:0]
-	v.owner = nil
-	v.phys = nil
-	v.txSend = nil
 }
 
 // Unbind detaches the virtual NIC from its physical device: channel
@@ -277,11 +200,7 @@ func (v *VirtualNIC) Release() {
 // new device while bookkeeping elsewhere still names the old one. A
 // failure to resolve physName leaves the existing binding intact.
 func (v *VirtualNIC) Remap(owner *Host, physName string) (sim.Duration, error) {
-	if _, err := v.Bind(owner, physName); err != nil {
-		return 0, err
-	}
-	v.remaps++
-	return RemapLatency, nil
+	return v.remap(v.Bind(owner, physName))
 }
 
 // Local reports whether the device is served by the user's own NIC
@@ -303,11 +222,10 @@ func (v *VirtualNIC) Send(now sim.Time, dst string, payload []byte) (sim.Duratio
 	if len(payload) > v.cfg.BufSize {
 		return 0, fmt.Errorf("%w: %d > %d", ErrPayloadSize, len(payload), v.cfg.BufSize)
 	}
-	if len(v.txFree) == 0 {
+	addr, ok := v.take()
+	if !ok {
 		return 0, ErrNoTxBuffer
 	}
-	addr := v.txFree[len(v.txFree)-1]
-	v.txFree = v.txFree[:len(v.txFree)-1]
 	// The buffer must be visible to the device's DMA either way (DMA
 	// reads memory, not this CPU's cache).
 	d, err := v.user.cache.NTStore(now, addr, payload)
@@ -319,11 +237,11 @@ func (v *VirtualNIC) Send(now sim.Time, dst string, payload []byte) (sim.Duratio
 		// device fetches the payload synchronously in this model).
 		d += pcie.MMIOWriteLatency
 		if _, err := v.phys.Transmit(now+d, addr, len(payload), dst, now); err != nil {
-			v.txFree = append(v.txFree, addr)
+			v.free = append(v.free, addr)
 			v.txErrors++
 			return d, err
 		}
-		v.txFree = append(v.txFree, addr)
+		v.free = append(v.free, addr)
 		v.sent++
 		return d, nil
 	}
@@ -331,10 +249,10 @@ func (v *VirtualNIC) Send(now sim.Time, dst string, payload []byte) (sim.Duratio
 	if err != nil {
 		return 0, err
 	}
-	sd, err := v.txSend.Send(now+d, enc)
+	sd, err := v.toOwner.Send(now+d, enc)
 	if err != nil {
 		// Channel full: return the buffer, surface backpressure.
-		v.txFree = append(v.txFree, addr)
+		v.free = append(v.free, addr)
 		return d + sd, err
 	}
 	v.sent++
@@ -363,7 +281,7 @@ func (v *VirtualNIC) handleOwner(cur sim.Time, payload []byte) sim.Time {
 		agent.forwarded++
 		// Tell the user the TX buffer can be reused.
 		enc, _ := descriptor{kind: descTxComp, addr: desc.addr}.encodeInto(v.descBuf[:])
-		sd, err := v.compSend.Send(cur, enc)
+		sd, err := v.toUser.Send(cur, enc)
 		cur += sd
 		if err != nil {
 			v.compDrops++
@@ -387,7 +305,7 @@ func (v *VirtualNIC) handleUser(cur sim.Time, payload []byte) sim.Time {
 	case descRxComp:
 		cur = v.deliverRx(cur, desc)
 	case descTxComp:
-		v.txFree = append(v.txFree, desc.addr)
+		v.free = append(v.free, desc.addr)
 	}
 	return cur
 }
@@ -397,12 +315,11 @@ func (v *VirtualNIC) handleUser(cur sim.Time, payload []byte) sim.Time {
 // descriptor to the user — or, on the local fast path, deliver straight
 // to the application (driver interrupt path, no channel).
 func (v *VirtualNIC) ownerRxCompletion(now sim.Time, c nicsim.RxCompletion) {
-	if v.ownerSvc == nil || !v.ownerSvc.active {
+	if v.stale(v.toUser) {
 		return
 	}
 	if v.Local() {
-		cur := v.deliverLocal(now, c)
-		_ = cur
+		v.deliverLocal(now, c)
 		return
 	}
 	enc, err := descriptor{
@@ -416,7 +333,7 @@ func (v *VirtualNIC) ownerRxCompletion(now sim.Time, c nicsim.RxCompletion) {
 		v.compDrops++
 		return
 	}
-	if _, err := v.compSend.Send(now, enc); err != nil {
+	if _, err := v.toUser.Send(now, enc); err != nil {
 		v.compDrops++
 	}
 }
@@ -425,7 +342,7 @@ func (v *VirtualNIC) ownerRxCompletion(now sim.Time, c nicsim.RxCompletion) {
 // read the payload, invoke the app, repost the buffer — no channels. A
 // failed read drops the frame but still reposts its buffer, so the RX
 // ring keeps its depth.
-func (v *VirtualNIC) deliverLocal(now sim.Time, c nicsim.RxCompletion) sim.Time {
+func (v *VirtualNIC) deliverLocal(now sim.Time, c nicsim.RxCompletion) {
 	if cap(v.rxBuf) < c.Len {
 		v.rxBuf = make([]byte, c.Len)
 	}
@@ -443,7 +360,6 @@ func (v *VirtualNIC) deliverLocal(now sim.Time, c nicsim.RxCompletion) sim.Time 
 	if err := v.phys.PostRxBuffer(c.Addr, v.cfg.BufSize); err != nil {
 		v.txErrors++
 	}
-	return cur
 }
 
 // deliverRx runs on the user's agent: fetch the payload from the shared
@@ -467,8 +383,8 @@ func (v *VirtualNIC) deliverRx(cur sim.Time, desc descriptor) sim.Time {
 	}
 	// Recycle the RX buffer through the owner.
 	enc, _ := descriptor{kind: descRepost, addr: desc.addr}.encodeInto(v.descBuf[:])
-	if v.txSend != nil {
-		sd, err := v.txSend.Send(cur, enc)
+	if v.toOwner != nil {
+		sd, err := v.toOwner.Send(cur, enc)
 		cur += sd
 		if err != nil {
 			v.compDrops++

@@ -16,7 +16,8 @@ import (
 // and completions travel over the shared-memory channels. Because NVMe
 // latencies are tens of microseconds, the sub-microsecond forwarding
 // cost is proportionally even smaller than for NICs. The transport,
-// with its Latency recorder, is the embedded forwarder.
+// with its Latency recorder, is the embedded forwarder, built on the
+// binding every pooled device shares.
 type VirtualSSD struct {
 	forwarder[*ssdsim.SSD]
 	bufSize int
@@ -77,11 +78,8 @@ var ssdClass = fwdClass{
 // NewVirtualSSD creates an unbound virtual SSD for user.
 func NewVirtualSSD(user *Host, name string, cfg VSSDConfig) *VirtualSSD {
 	cfg.defaults()
-	v := &VirtualSSD{
-		forwarder: newForwarder[*ssdsim.SSD](user, name, ssdClass, cfg.Buffers, cfg.ChannelSlots),
-		bufSize:   cfg.BufSize,
-	}
-	v.start = v.startIO
+	v := &VirtualSSD{bufSize: cfg.BufSize}
+	v.init(user, name, ssdClass, cfg.Buffers, cfg.ChannelSlots, v.startIO)
 	return v
 }
 
